@@ -358,3 +358,113 @@ class TestClusterQoS:
                     cl.qos_metrics())
 
         assert run() == run()
+
+
+class TestDegradedServePath:
+    """Pins the degraded execution path end to end: forced ladder
+    levels 1-3 over a seeded three-tenant stream, with a seeded fault
+    plan failing some proxy batches, scored through a traced service.
+
+    The digest covers the metrics snapshot, ``qos_metrics()``, the
+    Chrome trace bytes and every handle's outcome, so any refactor of
+    the degraded loop must reproduce all of them byte for byte.
+    """
+
+    DIGEST = "0e6c660305a0efd1993b23b821034076831cb8e23953f41624f3a4e89fc789d3"
+
+    POLICY = QoSPolicy(
+        tenants=(
+            TenantPolicy(name="vip", tenant_class="premium", weight=4),
+            TenantPolicy(name="std", tenant_class="standard", weight=2),
+            TenantPolicy(name="crowd", tenant_class="best_effort", weight=1),
+        ),
+    )
+    TENANTS = ("vip", "std", "crowd")
+
+    def _stream(self):
+        rng = np.random.default_rng(2026)
+        jobs = _jobs(rng, 54, lo=40, hi=420)
+        # Repeats exercise exact-path coalescing next to degraded work,
+        # which never coalesces.
+        return jobs + jobs[:: 5]
+
+    def _run(self, level):
+        from repro.obs import Tracer
+        from repro.resilience import FaultPlan, RetryPolicy
+
+        tracer = Tracer()
+        svc = AlignmentService(
+            compute_scores=True, qos=self.POLICY, engine="batched",
+            fault_plan=FaultPlan(seed=5, transient_rate=0.45, stall_rate=0.05),
+            retry_policy=RetryPolicy(max_attempts=2, cpu_fallback=False),
+            coalesce_window=24, max_batch_jobs=7, tracer=tracer,
+        )
+        svc.set_overload_level(level)
+        jobs = self._stream()
+        handles = [
+            svc.try_submit(j.query, j.ref, tenant=self.TENANTS[i % 3])
+            for i, j in enumerate(jobs)
+        ]
+        svc.flush()
+        return svc, tracer, jobs, handles
+
+    def test_degraded_outcomes_match_tier_engines_and_digest(self):
+        import hashlib
+        import json
+
+        from repro.align import ScoringScheme
+        from repro.align.banded import band_for_error_rate
+        from repro.obs import chrome_trace_json
+        from repro.qos.tiers import tier_engine
+
+        policy = self.POLICY
+        payload = []
+        for level in (1, 2, 3):
+            svc, tracer, jobs, handles = self._run(level)
+            degraded_ok = degraded_failed = 0
+            for i, (job, h) in enumerate(zip(jobs, handles)):
+                if h is None:  # shed at the top level
+                    continue
+                tier = tier_for(level, policy.tenant(self.TENANTS[i % 3]).tenant_class)
+                if not h.ok:
+                    assert h.failure is not None
+                    assert h.failure.job_index == h.request_id
+                    degraded_failed += tier != "exact"
+                    continue
+                if h.from_cache:
+                    # Cache hits and coalesced followers are exact work.
+                    assert h.tier == "exact"
+                    continue
+                assert h.tier == tier
+                if tier == "exact":
+                    assert h.tier_params == {}
+                    continue
+                degraded_ok += 1
+                engine = tier_engine(tier, error_rate=policy.banded_error_rate,
+                                     xdrop_x=policy.xdrop_x)
+                assert h.result() == engine.score_batch([job], ScoringScheme())[0]
+                if tier == "banded":
+                    band = band_for_error_rate(
+                        max(job.ref_len, job.query_len), policy.banded_error_rate)
+                    assert h.tier_params == {"band": band}
+                else:
+                    assert h.tier_params == {"x": policy.xdrop_x}
+            assert degraded_ok and degraded_failed
+            payload.append({
+                "metrics": svc.metrics().to_dict(),
+                "qos": svc.qos_metrics().to_dict(),
+                "trace": chrome_trace_json(tracer),
+                "handles": [
+                    None if h is None else [
+                        h.tier, h.tier_params,
+                        None if h.result_value is None else [
+                            h.result_value.score, h.result_value.ref_end,
+                            h.result_value.query_end],
+                        h.completed_ms,
+                        None if h.failure is None else h.failure.error,
+                    ]
+                    for h in handles
+                ],
+            })
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == self.DIGEST
