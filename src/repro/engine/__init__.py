@@ -30,7 +30,6 @@ from .variants import (
     PrunedEngine,
     SemiglobalEngine,
     XDropEngine,
-    batched_banded_sw_align,
 )
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "EngineBenchResult",
     "StripedBenchResult",
     "batched_sw_align",
-    "batched_banded_sw_align",
     "striped_sw_align",
     "engine_capabilities",
     "engine_names",

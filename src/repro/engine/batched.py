@@ -26,11 +26,19 @@ tie-break: smallest diagonal, then smallest reference index); scores
 are bit-identical to the row-scan oracle ``sw_align_slow`` and to the
 reference engine.
 
+The same sweep is the ``banded`` engine (:mod:`repro.engine.variants`):
+given per-pair ``bands`` it adds a band mask and the row scan's
+endpoint tie-break, and is then bit-identical, endpoints included, to
+:func:`repro.align.banded.banded_sw_align`.  Both choices are made once
+per group, so the exact path runs the same array operations per
+diagonal either way.
+
 Very large or very ragged batches are split into length-coherent
 sub-batches under a cell budget (``max_state_cells``) so short pairs
 never pay for a long pair's padding and state arrays stay
-cache-resident instead of thrashing; the split is deterministic
-(stable extent sort) and invisible in the results.
+cache-resident instead of thrashing; the split
+(:func:`sweep_length_groups`, shared with the ``striped`` engine) is
+deterministic (stable extent sort) and invisible in the results.
 """
 
 from __future__ import annotations
@@ -50,8 +58,22 @@ def _sweep_group(
     refs: list[np.ndarray],
     queries: list[np.ndarray],
     scoring: ScoringScheme,
+    bands: list[int] | None = None,
 ) -> list[AlignmentResult]:
-    """Score one padded sub-batch with the 3-D anti-diagonal sweep."""
+    """Score one padded sub-batch with the 3-D anti-diagonal sweep.
+
+    With *bands*, lanes outside each pair's band ``|i - j| <= band``
+    are forced back to the local boundary state too.  That forcing is
+    *score-preserving* for the in-band cells: a cell's diagonal
+    predecessor shares its ``|i - j|`` and is therefore never
+    out-of-band, so only the E/F arms can cross the band edge — and
+    they enter as ``max(0 - alpha, NEG_INF - beta) < 0``, which the
+    local zero floor dominates and whose propagation is dominated by
+    the in-band ``H - alpha`` arm.  In-band ``H`` values are thus bit-
+    identical to :func:`~repro.align.banded.banded_sw_align`'s, and
+    the banded sweep tracks the best cell with that row scan's
+    tie-break so endpoints match it too.
+    """
     B = len(refs)
     m = np.array([r.size for r in refs], dtype=np.int64)
     n = np.array([q.size for q in queries], dtype=np.int64)
@@ -79,6 +101,7 @@ def _sweep_group(
     best_j = np.zeros(B, dtype=np.int64)
     m_col = m[:, None]
     n_col = n[:, None]
+    band_col = None if bands is None else np.array(bands, dtype=np.int64)[:, None]
     lane_i = np.arange(M + 1, dtype=np.int64)
 
     for d in range(2, M + N + 1):
@@ -101,10 +124,13 @@ def _sweep_group(
         h_diag = H_prev2[:, lo - 1 : hi] + s
         h_new = np.maximum(np.maximum(e_new, f_new), np.maximum(h_diag, 0))
 
-        # Mask lanes outside a pair's own band back to the boundary
-        # state the per-pair sweep keeps there (ragged batches only
-        # share the widest pair's slice).
+        # Mask lanes outside a pair's own matrix (ragged batches only
+        # share the widest pair's slice) — and, banded, outside its
+        # band |i - j| = |2i - d| — back to the boundary state the
+        # per-pair sweep keeps there.
         valid = (i_vals[None, :] <= m_col) & ((d - i_vals)[None, :] <= n_col)
+        if band_col is not None:
+            valid &= np.abs(2 * i_vals - d)[None, :] <= band_col
         h_new = np.where(valid, h_new, 0)
         e_new = np.where(valid, e_new, NEG_INF)
         f_new = np.where(valid, f_new, NEG_INF)
@@ -118,16 +144,24 @@ def _sweep_group(
         F_prev.fill(NEG_INF)
         F_prev[:, sl] = f_new
 
-        # First-maximum tracking, batch-wide: update only on a strict
-        # improvement (smallest diagonal wins), argmax takes the first
-        # occurrence (smallest reference index wins).  Invalid lanes
-        # hold 0 and can never beat a strictly positive maximum.
+        # Best-cell tracking, batch-wide.  Exact: update only on a
+        # strict improvement (smallest diagonal wins), argmax takes the
+        # first occurrence (smallest reference index wins).  Banded:
+        # the row scan's row-major tie-break — an equal score on this
+        # later diagonal also wins with a strictly smaller reference
+        # row (equal rows mean a larger j here).  Invalid lanes hold 0
+        # and can never beat a strictly positive maximum.
         dmax = h_new.max(axis=1)
         improved = dmax > best
-        if improved.any():
+        take = improved
+        if band_col is not None:
             pos = h_new.argmax(axis=1) + lo
-            best_i = np.where(improved, pos, best_i)
-            best_j = np.where(improved, d - pos, best_j)
+            take = improved | ((dmax == best) & (best > 0) & (pos < best_i))
+        if take.any():
+            if band_col is None:
+                pos = h_new.argmax(axis=1) + lo
+            best_i = np.where(take, pos, best_i)
+            best_j = np.where(take, d - pos, best_j)
             best = np.where(improved, dmax, best)
 
     return [
@@ -136,27 +170,23 @@ def _sweep_group(
     ]
 
 
-def batched_sw_align(
-    pairs,
-    scoring: ScoringScheme | None = None,
-    *,
-    max_state_cells: int = 1 << 22,
-) -> list[AlignmentResult]:
-    """Smith-Waterman results for a batch of ``(ref, query)`` code pairs.
+def sweep_length_groups(pairs, sweep, *, lanes, max_state_cells: int) -> list[AlignmentResult]:
+    """Results for ``(ref, query)`` code *pairs*, swept group by group.
 
     Pairs with an empty side short-circuit to the empty alignment.
     Results come back in submission order, but internally the batch is
     regrouped into length-coherent sub-batches: every pair in a group
     pays for the *widest* pair's lanes and the *longest* pair's
-    diagonals, so mixing a 250 bp read into an 8 kbp group would waste
+    sweep, so mixing a 250 bp read into an 8 kbp group would waste
     most of the sweep on padding.  Pairs are therefore sorted by
     matrix extent (stable, index tie-break) and a group is cut
     whenever the next pair would more than double the group's smallest
-    extent or push the padded state (``rows x (max_ref_len + 1)``
-    lanes) past *max_state_cells*.  The regrouping is deterministic
-    and invisible in the results.
+    extent or push the padded state (``rows x (max lanes + 1)``) past
+    *max_state_cells*.  ``lanes(ref, query)`` is one pair's state
+    width along the sweep's lane axis, and ``sweep(indices, refs,
+    queries)`` scores one group (*indices* are submission positions).
+    The regrouping is deterministic and invisible in the results.
     """
-    scoring = scoring or ScoringScheme()
     results: list[AlignmentResult | None] = [None] * len(pairs)
     items: list[tuple[int, np.ndarray, np.ndarray]] = []
     for i, (ref, query) in enumerate(pairs):
@@ -168,40 +198,58 @@ def batched_sw_align(
         items.append((i, r, q))
     items.sort(key=lambda t: (t[1].size + t[2].size, t[0]))
 
-    group_idx: list[int] = []
-    group_r: list[np.ndarray] = []
-    group_q: list[np.ndarray] = []
-    group_max_m = 0
-    group_min_extent = 0
-
-    def flush() -> None:
-        nonlocal group_max_m
-        if not group_idx:
-            return
-        for i, res in zip(group_idx, _sweep_group(group_r, group_q, scoring)):
+    def flush(group) -> None:
+        idx, refs, queries = zip(*group)
+        for i, res in zip(idx, sweep(idx, list(refs), list(queries))):
             results[i] = res
-        group_idx.clear()
-        group_r.clear()
-        group_q.clear()
-        group_max_m = 0
 
-    for i, r, q in items:
-        extent = r.size + q.size
-        new_max = max(group_max_m, r.size)
-        if group_idx and (
-            extent > 2 * group_min_extent
-            or (len(group_idx) + 1) * (new_max + 1) > max_state_cells
+    start = width = 0
+    for k, (_, r, q) in enumerate(items):
+        new_width = max(width, lanes(r, q))
+        _, r0, q0 = items[start]
+        if k > start and (
+            r.size + q.size > 2 * (r0.size + q0.size)
+            or (k - start + 1) * (new_width + 1) > max_state_cells
         ):
-            flush()
-            new_max = r.size
-        if not group_idx:
-            group_min_extent = extent
-        group_idx.append(i)
-        group_r.append(r)
-        group_q.append(q)
-        group_max_m = new_max
-    flush()
+            flush(items[start:k])
+            start, new_width = k, lanes(r, q)
+        width = new_width
+    if items:
+        flush(items[start:])
     return results  # type: ignore[return-value]
+
+
+def batched_sw_align(
+    pairs,
+    scoring: ScoringScheme | None = None,
+    *,
+    bands=None,
+    max_state_cells: int = 1 << 22,
+) -> list[AlignmentResult]:
+    """Smith-Waterman results for a batch of ``(ref, query)`` code pairs.
+
+    *bands*, when given, holds one band width per pair and restricts
+    each pair to the cells with ``|i - j| <= band``: results are then
+    bit-identical, endpoints included, to calling
+    :func:`~repro.align.banded.banded_sw_align` per pair.  The batch
+    is regrouped under *max_state_cells* by
+    :func:`sweep_length_groups` (lanes run along the reference).
+    """
+    scoring = scoring or ScoringScheme()
+    if bands is not None:
+        bands = [int(b) for b in bands]
+        if len(bands) != len(pairs):
+            raise ValueError("need exactly one band per pair")
+        if any(b < 0 for b in bands):
+            raise ValueError("band must be non-negative")
+
+    def sweep(idx, refs, queries):
+        group_bands = None if bands is None else [bands[i] for i in idx]
+        return _sweep_group(refs, queries, scoring, group_bands)
+
+    return sweep_length_groups(
+        pairs, sweep, lanes=lambda r, q: r.size, max_state_cells=max_state_cells
+    )
 
 
 @register_engine

@@ -40,9 +40,10 @@ engine contract — may differ from ``sw_align``'s anti-diagonal
 tie-break when several cells share the maximum score.
 
 Very large or very ragged batches are split into length-coherent
-sub-batches under a cell budget (``max_state_cells``), exactly like
-the batched engine: a 250 bp read never pays an 8 kbp neighbour's
-lanes, and the split is deterministic and invisible in the results.
+sub-batches under a cell budget (``max_state_cells``) by the batched
+engine's own regrouping helper: a 250 bp read never pays an 8 kbp
+neighbour's lanes, and the split is deterministic and invisible in the
+results.
 """
 
 from __future__ import annotations
@@ -52,10 +53,9 @@ import numpy as np
 from ..align.matrix import AlignmentResult
 from ..align.scoring import NEG_INF, PAD, ScoringScheme
 from .base import ExecutionEngine, register_engine
+from .batched import sweep_length_groups
 
 __all__ = ["StripedEngine", "striped_sw_align"]
-
-_EMPTY = AlignmentResult(score=0, ref_end=0, query_end=0)
 
 #: Default lane width the automatic stripe count aims for: wide enough
 #: that each NumPy op amortizes its dispatch overhead, narrow enough
@@ -197,63 +197,23 @@ def striped_sw_align(
     empty alignment.
 
     Results come back in submission order; internally the batch is
-    regrouped into length-coherent sub-batches exactly like
-    :func:`~repro.engine.batched.batched_sw_align` — pairs sort by
-    matrix extent (stable, index tie-break) and a group is cut when
-    the next pair would more than double the group's smallest extent
-    or push the padded ``batch x stripe x lane`` state past
-    *max_state_cells*.  Deterministic and invisible in the results.
+    regrouped into length-coherent sub-batches by
+    :func:`~repro.engine.batched.sweep_length_groups`, the batched
+    engine's helper, with the padded ``batch x stripe x lane`` state
+    (lanes along the query) held under *max_state_cells*.
+    Deterministic and invisible in the results.
     """
     if stripes is not None and stripes < 1:
         raise ValueError("need at least one stripe")
     if max_state_cells < 1:
         raise ValueError("max_state_cells must be positive")
     scoring = scoring or ScoringScheme()
-    results: list[AlignmentResult | None] = [None] * len(pairs)
-    items: list[tuple[int, np.ndarray, np.ndarray]] = []
-    for i, (ref, query) in enumerate(pairs):
-        r = np.asarray(ref, dtype=np.uint8)
-        q = np.asarray(query, dtype=np.uint8)
-        if r.size == 0 or q.size == 0:
-            results[i] = _EMPTY
-            continue
-        items.append((i, r, q))
-    items.sort(key=lambda t: (t[1].size + t[2].size, t[0]))
-
-    group_idx: list[int] = []
-    group_r: list[np.ndarray] = []
-    group_q: list[np.ndarray] = []
-    group_max_n = 0
-    group_min_extent = 0
-
-    def flush() -> None:
-        nonlocal group_max_n
-        if not group_idx:
-            return
-        for i, res in zip(group_idx, _sweep_group(group_r, group_q, scoring, stripes)):
-            results[i] = res
-        group_idx.clear()
-        group_r.clear()
-        group_q.clear()
-        group_max_n = 0
-
-    for i, r, q in items:
-        extent = r.size + q.size
-        new_max = max(group_max_n, q.size)
-        if group_idx and (
-            extent > 2 * group_min_extent
-            or (len(group_idx) + 1) * (new_max + 1) > max_state_cells
-        ):
-            flush()
-            new_max = q.size
-        if not group_idx:
-            group_min_extent = extent
-        group_idx.append(i)
-        group_r.append(r)
-        group_q.append(q)
-        group_max_n = new_max
-    flush()
-    return results  # type: ignore[return-value]
+    return sweep_length_groups(
+        pairs,
+        lambda idx, refs, queries: _sweep_group(refs, queries, scoring, stripes),
+        lanes=lambda r, q: q.size,
+        max_state_cells=max_state_cells,
+    )
 
 
 @register_engine

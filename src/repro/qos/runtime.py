@@ -16,13 +16,25 @@ questions the service asks on its hot paths:
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from ..align.matrix import AlignmentResult
 from ..align.scoring import ScoringScheme
 from ..baselines.base import ExtensionJob
+from ..engine import ExecutionEngine
 from .metrics import QoSMetrics, QoSRecorder
 from .overload import OverloadController
 from .policy import QoSPolicy
-from .tiers import SHED_LEVEL, proxy_job, score_degraded, tier_for, tier_params
+from .tiers import (
+    APPROX_TIERS,
+    SHED_LEVEL,
+    TIER_BANDED,
+    proxy_job,
+    score_degraded,
+    tier_engine,
+    tier_for,
+    tier_params,
+)
 
 __all__ = ["QoSState"]
 
@@ -34,6 +46,16 @@ class QoSState:
         self.policy = policy
         self.controller = OverloadController(policy.overload)
         self.recorder = QoSRecorder(policy)
+
+    @cached_property
+    def engines(self) -> dict[str, ExecutionEngine]:
+        """Each approximate tier's configured engine, resolved on first
+        use and then reused for every degraded job."""
+        return {
+            tier: tier_engine(tier, error_rate=self.policy.banded_error_rate,
+                              xdrop_x=self.policy.xdrop_x)
+            for tier in APPROX_TIERS
+        }
 
     # ----- admission ----------------------------------------------------
 
@@ -67,15 +89,12 @@ class QoSState:
         )
 
     def proxy_job(self, tier: str, job: ExtensionJob) -> ExtensionJob:
-        return proxy_job(job, tier, error_rate=self.policy.banded_error_rate)
+        return proxy_job(job, tier,
+                         band_for_job=self.engines[TIER_BANDED].band_for_job)
 
-    def score(self, tier: str, job: ExtensionJob,
-              scoring: ScoringScheme) -> AlignmentResult:
-        return score_degraded(
-            job, tier, scoring,
-            error_rate=self.policy.banded_error_rate,
-            xdrop_x=self.policy.xdrop_x,
-        )
+    def score(self, tier: str, jobs: list[ExtensionJob],
+              scoring: ScoringScheme) -> list[AlignmentResult]:
+        return score_degraded(jobs, tier, scoring, engines=self.engines)
 
     def params(self, tier: str, job: ExtensionJob) -> dict[str, int]:
         """The bound parameters *job* was scored under at *tier*.
@@ -83,11 +102,9 @@ class QoSState:
         Stamped onto the degraded handle's ``tier_params`` so results
         from two different bounds can never be conflated downstream.
         """
-        return tier_params(
-            job, tier,
-            error_rate=self.policy.banded_error_rate,
-            xdrop_x=self.policy.xdrop_x,
-        )
+        return tier_params(job, tier,
+                           band_for_job=self.engines[TIER_BANDED].band_for_job,
+                           xdrop_x=self.policy.xdrop_x)
 
     # ----- settlement ---------------------------------------------------
 

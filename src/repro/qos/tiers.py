@@ -25,22 +25,25 @@ to a registered execution engine by **capability query**
 (:func:`repro.engine.find_engines`) — the banded tier wants a bounded
 local engine parameterized by ``band``, the x-drop tier a bounded
 anchored engine parameterized by ``x`` — and scores through
-``score_batch`` like any other backend.  The engines themselves
+``score_batch`` like any other backend.  A service's
+:class:`~repro.qos.runtime.QoSState` resolves each tier's engine once
+and hands it to the helpers below.  The engines themselves
 (:mod:`repro.engine.variants`) are bit-identical to the historical
 per-pair algorithms, so degraded results are byte-reproducible across
-the refactor.  :func:`tier_params` reports the effective bound
+refactors.  :func:`tier_params` reports the effective bound
 parameters per job; results and cache keys carry them so two different
 bounds can never be conflated.
 
-Modeled time for a degraded batch is charged through the **same**
-kernel/device path as exact batches: each degraded job is replaced by
-a *proxy job* whose shorter sequence is sliced to the tier's band
-width, and the proxy batch runs through ``run_isolated`` in model-only
-mode.  That keeps exact-vs-degraded modeled durations directly
-comparable (same packing, launch, and memory model) and deterministic
-— the data-dependent ``cells_computed`` of x-drop never feeds the
-clock.  Actual degraded *scores* (scored mode only) come from the
-resolved engines on the full sequences.
+Degraded work runs through the **same** service loop and kernel/device
+path as exact batches: each degraded job is replaced by a *proxy job*
+whose shorter sequence is sliced to the tier's band width, and the
+proxy batch runs through ``run_isolated`` in model-only mode.  That
+keeps exact-vs-degraded modeled durations directly comparable (same
+packing, launch, and memory model) and deterministic — the
+data-dependent ``cells_computed`` of x-drop never feeds the clock.
+Actual degraded *scores* (scored mode only) come from the resolved
+engines on the full sequences, one :func:`score_degraded` call — one
+``score_batch`` — per micro-batch.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ __all__ = [
     "tier_for",
     "tier_engine_name",
     "tier_engine",
-    "tier_band",
     "tier_params",
     "proxy_job",
     "score_degraded",
@@ -121,40 +123,36 @@ def tier_engine(tier: str, *, error_rate: float, xdrop_x: int) -> ExecutionEngin
     return resolve_engine(name, x=xdrop_x)
 
 
-def tier_band(job: ExtensionJob, error_rate: float) -> int:
-    """Band width used for *job* by the banded tier."""
-    engine = tier_engine(TIER_BANDED, error_rate=error_rate, xdrop_x=0)
-    return engine.band_for_job(job)
-
-
 def tier_params(
-    job: ExtensionJob, tier: str, *, error_rate: float, xdrop_x: int
+    job: ExtensionJob, tier: str, *, band_for_job, xdrop_x: int
 ) -> dict[str, int]:
     """The effective bound parameters for *job* at an approximate *tier*.
 
-    ``{"band": b}`` for the banded tier (sized per job from
-    *error_rate*), ``{"x": xdrop_x}`` for x-drop.  Degraded results
-    carry this mapping in their metadata and the result cache keys on
-    it — two different bounds are two different results.
+    ``{"band": band_for_job(job)}`` for the banded tier — pass the
+    resolved banded engine's :meth:`~repro.engine.BandedEngine.
+    band_for_job` — and ``{"x": xdrop_x}`` for x-drop.  Degraded
+    results carry this mapping in their metadata and the result cache
+    keys on it — two different bounds are two different results.
     """
     if tier == TIER_BANDED:
-        return {"band": tier_band(job, error_rate)}
+        return {"band": band_for_job(job)}
     if tier == TIER_XDROP:
         return {"x": xdrop_x}
     raise ValueError(f"not an approximate tier: {tier!r}")
 
 
-def proxy_job(job: ExtensionJob, tier: str, *, error_rate: float) -> ExtensionJob:
+def proxy_job(job: ExtensionJob, tier: str, *, band_for_job) -> ExtensionJob:
     """The timing proxy for running *job* at an approximate *tier*.
 
     The shorter sequence is sliced down to the tier's effective band
-    width, so the proxy's ``cells`` reflect the reduced DP area the
-    approximate kernel actually sweeps — banded covers ``2*band + 1``
-    diagonals, x-drop's live window is typically about half that.  The
-    proxy runs through the normal kernel path in model-only mode; its
-    duration is the degraded batch's modeled cost.
+    width (``band_for_job`` as for :func:`tier_params`), so the proxy's
+    ``cells`` reflect the reduced DP area the approximate kernel
+    actually sweeps — banded covers ``2*band + 1`` diagonals, x-drop's
+    live window is typically about half that.  The proxy runs through
+    the normal kernel path in model-only mode; its duration is the
+    degraded batch's modeled cost.
     """
-    band = tier_band(job, error_rate)
+    band = band_for_job(job)
     width = 2 * band + 1 if tier == TIER_BANDED else band + 1
     short = min(job.ref_len, job.query_len)
     if width >= short:
@@ -165,21 +163,20 @@ def proxy_job(job: ExtensionJob, tier: str, *, error_rate: float) -> ExtensionJo
 
 
 def score_degraded(
-    job: ExtensionJob,
+    jobs: list[ExtensionJob],
     tier: str,
     scoring: ScoringScheme,
     *,
-    error_rate: float,
-    xdrop_x: int,
-) -> AlignmentResult:
-    """Score *job* at an approximate *tier* (full sequences).
+    engines: dict[str, ExecutionEngine],
+) -> list[AlignmentResult]:
+    """Score *jobs* at an approximate *tier* (full sequences), in one
+    ``score_batch`` call on ``engines[tier]``.
 
     Banded keeps local-SW semantics inside the band; x-drop is
     anchored (seed-extension semantics) with its score floored at 0 so
     the result type stays comparable.  Either way the caller flags the
-    handle's ``tier`` so consumers know the semantics.  Scoring goes
-    through the tier's registered engine and is bit-identical —
-    endpoints included — to the historical per-pair algorithms.
+    handle's ``tier`` so consumers know the semantics.  The tier
+    engines are bit-identical — endpoints included — to the historical
+    per-pair algorithms.
     """
-    engine = tier_engine(tier, error_rate=error_rate, xdrop_x=xdrop_x)
-    return engine.score_batch([job], scoring)[0]
+    return engines[tier].score_batch(jobs, scoring)

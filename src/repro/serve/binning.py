@@ -260,8 +260,10 @@ class BinTuner:
         bin will actually serve).  Sub-10 ms probes re-run once and
         keep the minimum so fast engines are not ranked on a single
         noisy timing; ties break on the registry name; an engine that
-        raises is skipped, and if every engine fails the reference
-        backend wins by forfeit.  The returned timings are each
+        raises a taxonomy error (:class:`~repro.resilience.errors.
+        AlignmentError`) is skipped, and if every engine fails the
+        reference backend wins by forfeit.  Any other exception is a
+        broken engine, not a lost race, and propagates.  The returned timings are each
         engine's wall at the *largest* sample it raced.
         """
         timings: dict[str, float] = {}
@@ -281,7 +283,7 @@ class BinTuner:
                     t = once()
                     if t < 10.0:
                         t = min(t, once())
-                except Exception:
+                except AlignmentError:
                     if name not in skipped:
                         skipped.append(name)
                     continue

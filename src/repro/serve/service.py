@@ -57,6 +57,9 @@ from .request import AlignmentRequest, RequestHandle
 
 __all__ = ["AlignmentService"]
 
+#: One bin member: ``(request, cache key or None, timing job)``.
+_Member = tuple[AlignmentRequest, bytes | None, ExtensionJob]
+
 
 class AlignmentService:
     """High-throughput alignment service over the modeled device.
@@ -336,8 +339,8 @@ class AlignmentService:
             tr.sync(self.clock_ms)
             span = tr.begin("service.drain")
         popped = cache_hits = expired = executable = resolved = 0
-        bins: dict[int, list[tuple[AlignmentRequest, bytes | None]]] = {}
-        degraded: dict[str, list[AlignmentRequest]] = {}
+        bins: dict[int, list[_Member]] = {}
+        degraded: dict[str, list[_Member]] = {}
         while executable < window:
             got = self.queue.pop_upto(1)
             if not got:
@@ -373,15 +376,32 @@ class AlignmentService:
                 # would touch the device is considered for degradation.
                 tier = self._qos.tier_for(req.tenant)
                 if tier != "exact":
-                    degraded.setdefault(tier, []).append(req)
+                    proxy = self._qos.proxy_job(tier, req.job)
+                    degraded.setdefault(tier, []).append((req, None, proxy))
                     executable += 1
                     continue
-            bins.setdefault(self.binner.bin_index(req.job), []).append((req, key))
+            bins.setdefault(self.binner.bin_index(req.job), []).append(
+                (req, key, req.job)
+            )
             executable += 1
         for bin_index, members in self._merge_sparse_bins(bins):
             resolved += self._run_bin(bin_index, members)
         for tier in sorted(degraded):
-            resolved += self._run_degraded(tier, degraded[tier])
+            # An approximate tier bins by proxy job and never merges
+            # sparse bins (docs/QOS.md).
+            tier_bins: dict[int, list[_Member]] = {}
+            for member in degraded[tier]:
+                tier_bins.setdefault(self.binner.bin_index(member[2]), []).append(member)
+            tier_span = None
+            if tr:
+                tier_span = tr.begin(
+                    "tier.run", tier=tier, requests=len(degraded[tier]),
+                    tenants=sorted({r.tenant for r, _, _ in degraded[tier]}),
+                )
+            for bin_index in sorted(tier_bins):
+                resolved += self._run_bin(bin_index, tier_bins[bin_index], tier)
+            if tier_span is not None:
+                tr.end(tier_span)
         if span is not None:
             span.attrs.update(
                 popped=popped, cache_hits=cache_hits, expired=expired,
@@ -402,8 +422,8 @@ class AlignmentService:
         return pressure
 
     def _merge_sparse_bins(
-        self, bins: dict[int, list[tuple[AlignmentRequest, bytes | None]]]
-    ) -> list[tuple[int, list[tuple[AlignmentRequest, bytes | None]]]]:
+        self, bins: dict[int, list[_Member]]
+    ) -> list[tuple[int, list[_Member]]]:
         """Fold underfilled bins into their larger neighbour.
 
         A bin with fewer than ``min_bin_fill`` requests carries upward
@@ -417,8 +437,8 @@ class AlignmentService:
         """
         if self.min_bin_fill <= 1 or len(bins) <= 1:
             return [(b, bins[b]) for b in sorted(bins)]
-        merged: list[tuple[int, list[tuple[AlignmentRequest, bytes | None]]]] = []
-        carry: list[tuple[AlignmentRequest, bytes | None]] = []
+        merged: list[tuple[int, list[_Member]]] = []
+        carry: list[_Member] = []
         carry_max = -1
         for b in sorted(bins):
             group = carry + bins[b]
@@ -459,50 +479,68 @@ class AlignmentService:
             wait_ms=handle.wait_ms,
         )
 
-    def _run_bin(self, bin_index: int,
-                 members: list[tuple[AlignmentRequest, bytes | None]]) -> int:
+    def _run_bin(self, bin_index: int, members: list[_Member],
+                 tier: str = "exact") -> int:
         """Serve one bin's round: dedup, chunk, execute, demultiplex.
 
-        Duplicates are coalesced across the *whole* bin before
-        chunking (identical content always lands in the same bin, so
-        this catches every in-round repeat): one leader executes,
-        followers reuse its outcome.  Content-keyed fault injection
-        guarantees the follower would have faulted identically anyway.
+        Each member is ``(request, cache key, timing job)``.  Exact
+        members time and score their own job.  Duplicates are
+        coalesced across the *whole* bin before chunking (identical
+        content always lands in the same bin, so this catches every
+        in-round repeat): one leader executes, followers reuse its
+        outcome.  Content-keyed fault injection guarantees the follower
+        would have faulted identically anyway.
+
+        Members of an approximate *tier* (docs/QOS.md) carry no key —
+        they never coalesce nor enter the exact-only result cache — and
+        their timing job is the tier's *proxy job*, run through the
+        same kernel in model-only mode so degraded durations stay
+        comparable to exact ones and deterministic.  Each chunk's
+        surviving jobs are then scored on their full sequences in one
+        :meth:`~repro.qos.runtime.QoSState.score` call, and the
+        handles carry ``tier`` plus the ``tier_params`` bound.
         """
-        leaders: list[tuple[AlignmentRequest, bytes | None]] = []
+        exact = tier == "exact"
+        leaders: list[_Member] = []
         followers: list[tuple[AlignmentRequest, int]] = []
         seen: dict[bytes, int] = {}
-        for req, key in members:
+        for req, key, job in members:
             if key is not None and key in seen:
                 followers.append((req, seen[key]))
             else:
                 if key is not None:
                     seen[key] = len(leaders)
-                leaders.append((req, key))
+                leaders.append((req, key, job))
         # settled[i] = (failure record or None, result, completion ms,
         # batch start ms, batch ms) for leader i — followers read it.
         settled: list[tuple[FailureRecord | None, AlignmentResult | None,
                             float, float, float]] = []
+        label = self.binner.label(bin_index)
         tr = self.tracer
         bin_span = None
-        if tr:
+        if tr and exact:
             bin_span = tr.begin(
-                "bin.run", bin=bin_index, label=self.binner.label(bin_index),
+                "bin.run", bin=bin_index, label=label,
                 requests=len(members), leaders=len(leaders),
                 followers=len(followers),
             )
             if self._qos is not None:
-                bin_span.attrs["tenants"] = sorted({r.tenant for r, _ in members})
+                bin_span.attrs["tenants"] = sorted({r.tenant for r, _, _ in members})
+        batch_label = label if exact else f"{tier}:{label}"
+        tier_attrs = {} if exact else {"tier": tier}
         cap = self._bin_batch_sizes.get(bin_index, self.max_batch_jobs)
         for lo in range(0, len(leaders), cap):
             chunk = leaders[lo : lo + cap]
-            jobs = [req.job for req, _ in chunk]
-            batch_span = tr.begin("batch", bin=bin_index, jobs=len(jobs)) if tr else None
+            jobs = [job for _, _, job in chunk]
+            batch_span = None
+            if tr:
+                batch_span = tr.begin("batch", bin=bin_index, jobs=len(jobs),
+                                      **tier_attrs)
             kernel = self.tuner.kernel_for(bin_index, jobs)
             outcome = run_isolated(
                 kernel, jobs, self.device,
                 policy=self.retry_policy,
-                compute_scores=self.compute_scores,
+                compute_scores=self.compute_scores and exact,
                 scoring=self.scoring,
                 tracer=tr,
             )
@@ -513,25 +551,32 @@ class AlignmentService:
                 batch_span.attrs["batch_ms"] = batch_ms
                 tr.sync(self.clock_ms)
                 tr.end(batch_span)
-            self._recorder.record_batch(
-                len(jobs), self.binner.label(bin_index), batch_ms
-            )
+            self._recorder.record_batch(len(jobs), batch_label, batch_ms)
             n_fallback = sum(1 for r in outcome.failures.recovered if r.fallback)
             self._recorder.fallbacks += n_fallback
             self._recorder.retries_recovered += (
                 len(outcome.failures.recovered) - n_fallback
             )
             failed = {rec.job_index: rec for rec in outcome.failures.entries}
-            for local, (req, key) in enumerate(chunk):
+            results = outcome.results
+            if not exact and self.compute_scores:
+                ok = [i for i in range(len(chunk)) if i not in failed]
+                results = [None] * len(chunk)
+                if ok:
+                    scored = self._qos.score(
+                        tier, [chunk[i][0].job for i in ok], self.scoring
+                    )
+                    for i, res in zip(ok, scored):
+                        results[i] = res
+            for local, (req, key, _) in enumerate(chunk):
                 rec = failed.get(local)
                 result: AlignmentResult | None = None
-                if rec is None and self.compute_scores:
-                    assert outcome.results is not None
-                    result = outcome.results[local]
+                if rec is None and results is not None:
+                    result = results[local]
                 settled.append((rec, result, self.clock_ms, start_ms, batch_ms))
                 self._settle(req, rec, result, completed_ms=self.clock_ms,
                              start_ms=start_ms, batch_ms=batch_ms,
-                             key=key, from_cache=False)
+                             key=key, from_cache=False, tier=tier)
         for req, leader_pos in followers:
             rec, result, completed_ms, start_ms, batch_ms = settled[leader_pos]
             self._recorder.coalesced += 1
@@ -545,7 +590,7 @@ class AlignmentService:
     def _settle(self, req: AlignmentRequest, rec: FailureRecord | None,
                 result: AlignmentResult | None, *, completed_ms: float,
                 start_ms: float, batch_ms: float, key: bytes | None,
-                from_cache: bool) -> None:
+                from_cache: bool, tier: str = "exact") -> None:
         """Resolve one handle from its (leader's) execution outcome."""
         wait = start_ms - req.submitted_ms
         if rec is not None:
@@ -556,106 +601,13 @@ class AlignmentService:
             return
         req.handle._resolve(
             result, completed_ms=completed_ms, wait_ms=wait,
-            service_ms=batch_ms, from_cache=from_cache,
+            service_ms=batch_ms, from_cache=from_cache, tier=tier,
+            tier_params=None if tier == "exact" else self._qos.params(tier, req.job),
         )
         self._recorder.record_completion(wait, batch_ms)
         self._qos_settled(req.handle)
         if not from_cache and self.cache is not None and key is not None:
             self.cache.put(key, result, scored=self.compute_scores)
-
-    def _run_degraded(self, tier: str, members: list[AlignmentRequest]) -> int:
-        """Serve one approximate tier's round (docs/QOS.md).
-
-        Modeled time comes from *proxy jobs* — each job's shorter
-        sequence sliced to the tier's band width — run through the
-        same kernel / ``run_isolated`` path as exact batches in
-        model-only mode, so degraded durations are directly comparable
-        to exact ones and fully deterministic (x-drop's data-dependent
-        cell count never feeds the clock).  Scores (scored mode) come
-        from the tier's capability-resolved engine on the full
-        sequences (:func:`repro.qos.tiers.tier_engine`), and the
-        handle's ``tier`` plus ``tier_params`` — the effective
-        ``band`` / ``x`` bound — flag the result as approximate and
-        say which bound produced it, so two different bounds can never
-        be conflated by downstream keying.  Degraded results never
-        enter the result cache — cache entries are exact by contract
-        (and :func:`repro.serve.cache.cache_key` refuses to conflate
-        tiers regardless).
-        """
-        assert self._qos is not None
-        tr = self.tracer
-        proxied = [(req, self._qos.proxy_job(tier, req.job)) for req in members]
-        bins: dict[int, list[tuple[AlignmentRequest, ExtensionJob]]] = {}
-        for req, proxy in proxied:
-            bins.setdefault(self.binner.bin_index(proxy), []).append((req, proxy))
-        resolved = 0
-        tier_span = None
-        if tr:
-            tier_span = tr.begin(
-                "tier.run", tier=tier, requests=len(members),
-                tenants=sorted({r.tenant for r in members}),
-            )
-        for bin_index in sorted(bins):
-            group = bins[bin_index]
-            cap = self._bin_batch_sizes.get(bin_index, self.max_batch_jobs)
-            for lo in range(0, len(group), cap):
-                chunk = group[lo : lo + cap]
-                jobs = [proxy for _, proxy in chunk]
-                batch_span = None
-                if tr:
-                    batch_span = tr.begin(
-                        "batch", bin=bin_index, jobs=len(jobs), tier=tier
-                    )
-                kernel = self.tuner.kernel_for(bin_index, jobs)
-                outcome = run_isolated(
-                    kernel, jobs, self.device,
-                    policy=self.retry_policy,
-                    compute_scores=False,
-                    scoring=self.scoring,
-                    tracer=tr,
-                )
-                start_ms = self.clock_ms
-                batch_ms = outcome.total_ms
-                self.clock_ms += batch_ms
-                if batch_span is not None:
-                    batch_span.attrs["batch_ms"] = batch_ms
-                    tr.sync(self.clock_ms)
-                    tr.end(batch_span)
-                self._recorder.record_batch(
-                    len(jobs), f"{tier}:{self.binner.label(bin_index)}", batch_ms
-                )
-                n_fallback = sum(1 for r in outcome.failures.recovered if r.fallback)
-                self._recorder.fallbacks += n_fallback
-                self._recorder.retries_recovered += (
-                    len(outcome.failures.recovered) - n_fallback
-                )
-                failed = {rec.job_index: rec for rec in outcome.failures.entries}
-                for local, (req, _) in enumerate(chunk):
-                    rec = failed.get(local)
-                    wait = start_ms - req.submitted_ms
-                    if rec is not None:
-                        record = replace(rec, job_index=req.request_id)
-                        req.handle._fail(
-                            record, completed_ms=self.clock_ms, wait_ms=wait
-                        )
-                        self._recorder.record_failure(record.error, wait)
-                        self._qos_settled(req.handle)
-                        resolved += 1
-                        continue
-                    result = None
-                    if self.compute_scores:
-                        result = self._qos.score(tier, req.job, self.scoring)
-                    req.handle._resolve(
-                        result, completed_ms=self.clock_ms, wait_ms=wait,
-                        service_ms=batch_ms, tier=tier,
-                        tier_params=self._qos.params(tier, req.job),
-                    )
-                    self._recorder.record_completion(wait, batch_ms)
-                    self._qos_settled(req.handle)
-                    resolved += 1
-        if tier_span is not None:
-            tr.end(tier_span)
-        return resolved
 
     # ----- mid-run reconfiguration -----------------------------------------
 

@@ -27,7 +27,7 @@ from repro.engine import (
 from repro.engine.base import _REGISTRY
 from repro.gpusim import GTX1650
 from repro.obs import Tracer
-from repro.resilience import CapacityExceeded
+from repro.resilience import CapacityExceeded, DeviceFault
 from repro.serve import AlignmentService
 from repro.serve.binning import BinTuner, race_candidates
 
@@ -273,11 +273,21 @@ class TestAdaptiveSelection:
         for cls in _REGISTRY.values():
             monkeypatch.setattr(
                 cls, "score_batch",
-                lambda self, *a, **k: (_ for _ in ()).throw(RuntimeError("boom")),
+                lambda self, *a, **k: (_ for _ in ()).throw(DeviceFault("boom")),
             )
         winner, timings, skipped = _tuner()._race_engines(sample)
         assert winner == "reference"
         assert timings == {} and sorted(skipped) == list(race_candidates())
+
+    def test_race_propagates_non_taxonomy_engine_errors(self, rng, monkeypatch):
+        """A broken engine must surface, not quietly lose the race."""
+        sample = make_jobs(_random_pairs(rng, 4, hi=20, with_n=False))
+        monkeypatch.setattr(
+            _REGISTRY["batched"], "score_batch",
+            lambda self, *a, **k: (_ for _ in ()).throw(RuntimeError("broken")),
+        )
+        with pytest.raises(RuntimeError, match="broken"):
+            _tuner().kernel_for(0, sample)
 
     def test_service_auto_mode_selects_per_bin(self, rng):
         svc = AlignmentService(engine=AUTO_ENGINE, compute_scores=True)

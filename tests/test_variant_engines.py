@@ -36,7 +36,7 @@ from repro.engine import (
     PrunedEngine,
     SemiglobalEngine,
     XDropEngine,
-    batched_banded_sw_align,
+    batched_sw_align,
     engine_capabilities,
     engine_names,
     find_engines,
@@ -49,6 +49,7 @@ from repro.qos.tiers import (
     TIER_BANDED,
     TIER_XDROP,
     score_degraded,
+    tier_engine,
     tier_engine_name,
     tier_params,
 )
@@ -197,17 +198,17 @@ class TestVariantEngineFidelity:
     def test_batched_banded_regrouping_invariant(self, rng):
         pairs = _random_pairs(rng, 10, hi=40) + _random_pairs(rng, 3, hi=200)
         bands = [int(b) for b in rng.integers(0, 30, len(pairs))]
-        full = batched_banded_sw_align(pairs, bands, SCORING)
-        forced = batched_banded_sw_align(pairs, bands, SCORING, max_state_cells=1)
+        full = batched_sw_align(pairs, SCORING, bands=bands)
+        forced = batched_sw_align(pairs, SCORING, bands=bands, max_state_cells=1)
         assert full == forced
         for (r, q), band, res in zip(pairs, bands, full):
             assert res == banded_sw_align(r, q, band, SCORING)
 
     def test_batched_banded_validates_inputs(self):
         with pytest.raises(ValueError, match="one band per pair"):
-            batched_banded_sw_align([(np.zeros(3, np.uint8),) * 2], [])
+            batched_sw_align([(np.zeros(3, np.uint8),) * 2], bands=[])
         with pytest.raises(ValueError, match="non-negative"):
-            batched_banded_sw_align([(np.zeros(3, np.uint8),) * 2], [-1])
+            batched_sw_align([(np.zeros(3, np.uint8),) * 2], bands=[-1])
 
     def test_xdrop_engine_matches_xdrop_extend(self, rng):
         jobs = _jobs(_random_pairs(rng, 20))
@@ -382,21 +383,25 @@ class TestBoundParamPlumbing:
 
     def test_tier_params_carry_the_effective_bound(self, rng):
         job = _jobs(_random_pairs(rng, 1, hi=50))[0]
-        p = tier_params(job, TIER_BANDED, error_rate=0.05, xdrop_x=50)
+        band_for_job = tier_engine(
+            TIER_BANDED, error_rate=0.05, xdrop_x=50).band_for_job
+        p = tier_params(job, TIER_BANDED, band_for_job=band_for_job, xdrop_x=50)
         assert p == {"band": band_for_error_rate(
             max(job.ref_len, job.query_len), 0.05)}
-        assert tier_params(job, TIER_XDROP, error_rate=0.05, xdrop_x=9) == {"x": 9}
+        assert tier_params(
+            job, TIER_XDROP, band_for_job=band_for_job, xdrop_x=9) == {"x": 9}
 
     def test_score_degraded_bit_identical_to_reference_algorithms(self, rng):
         """The registry-routed degraded path must reproduce the
         historical per-pair results byte for byte (PR 9 identity)."""
-        for job in _jobs(_random_pairs(rng, 12, hi=60)):
-            banded = score_degraded(job, TIER_BANDED, SCORING,
-                                    error_rate=0.05, xdrop_x=50)
+        engines = {tier: tier_engine(tier, error_rate=0.05, xdrop_x=50)
+                   for tier in (TIER_BANDED, TIER_XDROP)}
+        jobs = _jobs(_random_pairs(rng, 12, hi=60))
+        banded_all = score_degraded(jobs, TIER_BANDED, SCORING, engines=engines)
+        xd_all = score_degraded(jobs, TIER_XDROP, SCORING, engines=engines)
+        for job, banded, xd in zip(jobs, banded_all, xd_all):
             band = band_for_error_rate(max(job.ref_len, job.query_len), 0.05)
             assert banded == banded_sw_align(job.ref, job.query, band, SCORING)
-            xd = score_degraded(job, TIER_XDROP, SCORING,
-                                error_rate=0.05, xdrop_x=50)
             e = xdrop_extend(job.ref, job.query, 50, SCORING)
             assert xd == AlignmentResult(
                 score=max(e.score, 0), ref_end=e.ref_end, query_end=e.query_end)
