@@ -18,6 +18,7 @@ This is exactly the paper's trade-off:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,22 +82,30 @@ def schedule_subwarps(
     n = len(job_cycles)
     n_warps = min(max_warps, max(1, -(-n // subwarps_per_warp)))
     n_queues = n_warps * subwarps_per_warp
-    queues: list[list[int]] = [[] for _ in range(n_queues)]
+    cycles = np.asarray(job_cycles, dtype=np.float64)
     loads = np.zeros(n_queues, dtype=np.float64)
     if sort_jobs:
         # Stable descending sort: reversing an unstable ascending
         # argsort also reverses the order *within* ties, so equal-cost
         # jobs would deal onto queues in a platform-dependent order.
-        order = np.argsort(-np.asarray(job_cycles, dtype=np.float64), kind="stable")
-        for i in order:
-            k = int(np.argmin(loads))
-            queues[k].append(int(i))
-            loads[k] += job_cycles[int(i)]
-    else:
-        for i, c in enumerate(job_cycles):
-            k = i % n_queues
+        order = np.argsort(-cycles, kind="stable")
+        # Least-loaded queue first, lowest index among equal loads.
+        heap = [(0.0, k) for k in range(n_queues)]
+        costs = cycles.tolist()
+        queues: list[list[int]] = [[] for _ in range(n_queues)]
+        for i in order.tolist():
+            load, k = heap[0]
             queues[k].append(i)
-            loads[k] += c
+            heapq.heapreplace(heap, (load + costs[i], k))
+        for load, k in heap:
+            loads[k] = load
+    else:
+        # Round-robin: job i goes to queue i % n_queues, so each row of
+        # n_queues jobs adds elementwise, in job order per queue.
+        for start in range(0, n, n_queues):
+            row = cycles[start : start + n_queues]
+            loads[: len(row)] += row
+        queues = [list(range(k, n, n_queues)) for k in range(n_queues)]
     warp_cycles: list[float] = []
     waste = 0.0
     for w in range(n_warps):

@@ -73,8 +73,9 @@ class Counters:
     kernel_launches: int = 0
     extra: dict = field(default_factory=dict)
 
-    def merge(self, other: "Counters") -> "Counters":
-        """Accumulate *other* into self (returns self for chaining)."""
+    def merge(self, other: "Counters", times: int = 1) -> "Counters":
+        """Accumulate *times* copies of *other* into self (returns self
+        for chaining)."""
         for f in (
             "cells", "blocks", "steps", "busy_thread_steps", "idle_thread_steps",
             "global_useful_bytes", "global_transferred_bytes", "global_transactions",
@@ -82,7 +83,7 @@ class Counters:
             "shared_bytes", "shared_bank_passes",
             "spills", "syncs", "kernel_launches",
         ):
-            setattr(self, f, getattr(self, f) + getattr(other, f))
+            setattr(self, f, getattr(self, f) + times * getattr(other, f))
         return self
 
     @property

@@ -92,7 +92,56 @@ class TestMemoryModelProperties:
         assert m.dram_bytes() <= m.counters.global_transferred_bytes + 1e-9
 
 
+def _scalar_deal(job_cycles, spw, max_warps, sort_jobs):
+    """One job at a time: the dealing rule ``schedule_subwarps`` implements."""
+    n = len(job_cycles)
+    n_warps = min(max_warps, max(1, -(-n // spw)))
+    n_queues = n_warps * spw
+    queues = [[] for _ in range(n_queues)]
+    loads = np.zeros(n_queues, dtype=np.float64)
+    if sort_jobs:
+        order = np.argsort(-np.asarray(job_cycles, dtype=np.float64), kind="stable")
+        for i in order:
+            k = int(np.argmin(loads))
+            queues[k].append(int(i))
+            loads[k] += job_cycles[int(i)]
+    else:
+        for i, c in enumerate(job_cycles):
+            loads[i % n_queues] += c
+            queues[i % n_queues].append(i)
+    warp_cycles, waste = [], 0.0
+    for w in range(n_warps):
+        chunk = loads[w * spw : (w + 1) * spw]
+        m = float(chunk.max())
+        warp_cycles.append(m)
+        waste += float(m * chunk.size - chunk.sum())
+    return queues, loads, warp_cycles, waste
+
+
+#: Job costs with many exact ties (as batches of equal geometry give)
+#: next to arbitrary floats whose sums round differently by order.
+_CYCLES = st.lists(
+    st.one_of(st.sampled_from([0.0, 1.0, 3.5, 1e6 / 3]),
+              st.floats(0.0, 1e7, allow_nan=False)),
+    max_size=160,
+)
+
+
 class TestSchedulingProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(cycles=_CYCLES, spw=st.sampled_from([1, 2, 4, 8]),
+           warps=st.integers(1, 6), sort_jobs=st.booleans())
+    def test_subwarp_deal_matches_scalar_loop(self, cycles, spw, warps, sort_jobs):
+        """Vectorized round-robin and heap dealing are bit-identical to
+        dealing one job at a time, including n < n_queues and n not a
+        multiple of n_queues."""
+        sched = schedule_subwarps(cycles, spw, warps, sort_jobs=sort_jobs)
+        queues, loads, warp_cycles, waste = _scalar_deal(cycles, spw, warps, sort_jobs)
+        assert sched.queues == queues
+        assert sched.queue_loads.tobytes() == loads.tobytes()
+        assert sched.warp_cycles == warp_cycles
+        assert sched.divergence_waste == waste
+
     @settings(max_examples=40, deadline=None)
     @given(
         cycles=st.lists(st.floats(0.0, 1e7, allow_nan=False), min_size=0, max_size=60),
