@@ -133,9 +133,7 @@ class SalobaKernel(ExtensionKernel):
         plan = self.job_plan(job)
         steps, blocks = plan.total_steps, plan.total_blocks
         spill_events = plan.spill_events if cfg.lazy_spill else 0
-        cycles = steps * self._step_ops()
-        if cfg.lazy_spill:
-            cycles += plan.spill_events * self._spill_event_ops()
+        cycles = steps * self._step_ops() + spill_events * self._spill_event_ops()
         # Phase decomposition of the compute stream (Fig. 3): each
         # chunk ramps up over min(width, height)-1 staggered steps
         # (prologue), drains symmetrically (epilogue), and spends the
@@ -230,7 +228,7 @@ class SalobaKernel(ExtensionKernel):
             "prologue": ramp_steps * step_ops,
             "main": main_steps * step_ops,
             "epilogue": ramp_steps * step_ops,
-            "spill": spill_events * self._spill_event_ops() if cfg.lazy_spill else 0.0,
+            "spill": spill_events * self._spill_event_ops(),
         }
 
         # Shuffle mode keeps only the spill staging area in shared
