@@ -106,16 +106,15 @@ def schedule_subwarps(
             row = cycles[start : start + n_queues]
             loads[: len(row)] += row
         queues = [list(range(k, n, n_queues)) for k in range(n_queues)]
-    warp_cycles: list[float] = []
+    # Warp w owns queues w*spw .. (w+1)*spw - 1: one row per warp.
+    per_warp = loads.reshape(n_warps, subwarps_per_warp)
+    warp_max = per_warp.max(axis=1)
     waste = 0.0
-    for w in range(n_warps):
-        chunk = loads[w * subwarps_per_warp : (w + 1) * subwarps_per_warp]
-        m = float(chunk.max()) if chunk.size else 0.0
-        warp_cycles.append(m)
-        waste += float(m * chunk.size - chunk.sum())
+    for lost in (warp_max * subwarps_per_warp - per_warp.sum(axis=1)).tolist():
+        waste += lost
     return SubwarpSchedule(
         queues=queues,
         queue_loads=loads,
-        warp_cycles=warp_cycles,
+        warp_cycles=warp_max.tolist(),
         divergence_waste=waste,
     )
