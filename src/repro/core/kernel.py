@@ -181,6 +181,7 @@ class SalobaKernel(ExtensionKernel):
         )
 
     def job_cycles(self, job: ExtensionJob, device: DeviceProfile) -> float:
+        """Modeled cycles of *job* on one subwarp."""
         return self._job_cost(job, device).cycles
 
     # ----- timing model ----------------------------------------------------
@@ -210,10 +211,11 @@ class SalobaKernel(ExtensionKernel):
         warps = [WarpJob(cycles=c, tag=f"warp{i}") for i, c in enumerate(sched.warp_cycles)]
 
         step_ops = self._step_ops()
-        cnt = Counters()
         # Divergence between co-resident subwarp queues: lanes of
         # faster queues idle until the slowest drains.
-        cnt.idle_thread_steps += int(sched.divergence_waste / step_ops * cfg.subwarp_size)
+        cnt = Counters(
+            idle_thread_steps=int(sched.divergence_waste / step_ops * cfg.subwarp_size)
+        )
         ramp_steps = main_steps = spill_events = 0
         for key, n in Counter(keys).items():
             cost = costs[key]
