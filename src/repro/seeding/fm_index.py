@@ -1,11 +1,17 @@
-"""FM-index: backward search with occ checkpoints and a sampled SA.
+"""FM-index: backward search with a two-level rank table and a sampled SA.
 
 The classic compressed full-text index behind BWT-based read mappers
-[38].  ``backward_extend`` prepends one symbol to the current match in
-O(1) via checkpointed occurrence counts; ``locate`` resolves text
-positions through a sampled suffix array by LF-walking to the nearest
-sample — the same structure real aligners use, at test-friendly
-sampling rates.
+[38].  ``occ(c, k)``, the count of symbol ``c`` in ``bwt[:k]``, is two
+table lookups: an ``int64`` checkpoint every ``occ_rate`` rows plus an
+in-block rank table ``occ_inblock[k, c]`` that counts ``c`` from the
+last checkpoint up to row ``k``.  The in-block counts never exceed
+``occ_rate - 1``, so they are stored in the smallest unsigned dtype that
+holds that (``uint8`` for rates up to 256, ``uint16`` up to 65,536),
+and ``backward_extend`` prepends one symbol to the current match in
+O(1).  ``locate`` resolves text positions through a
+sampled suffix array, LF-walking every row of a range together to the
+nearest sample — the same structure real aligners use, at
+test-friendly sampling rates.
 """
 
 from __future__ import annotations
@@ -62,36 +68,21 @@ class FMIndex:
         self.sa_sample_rate = sa_sample_rate
         sa = suffix_array(codes)
         self._bwt = bwt_from_sa(codes, sa)
-        m = self._bwt.size
         # C[c]: rows whose suffix starts with a symbol < c (sentinel
         # occupies row 0).
         counts = np.bincount(codes, minlength=_N_SYMBOLS)
         self.C = np.concatenate([[1], 1 + np.cumsum(counts)[:-1]]).astype(np.int64)
-        # occ checkpoints: occ[k, c] = #occurrences of c in bwt[:k*rate].
-        onehot = np.zeros((m + 1, _N_SYMBOLS), dtype=np.int64)
-        valid = self._bwt >= 0
-        onehot[1:][valid, self._bwt[valid].astype(np.intp)] = 1
-        cum = np.cumsum(onehot, axis=0)
-        self._occ_checkpoints = cum[::occ_rate].copy()
-        self._sentinel_row = int(np.flatnonzero(self._bwt == SENTINEL)[0])
-        # Sampled SA for locate.
+        self._occ_checkpoints, self._occ_inblock = _rank_tables(self._bwt, occ_rate)
+        # Sampled SA for locate: -1 marks a row without a sample.
         mask = (sa % sa_sample_rate == 0) | (sa == self.n)
-        self._sa_sample_rows = np.flatnonzero(mask)
-        self._sa_sample_vals = sa[self._sa_sample_rows]
-        self._sampled = np.full(m, -1, dtype=np.int64)
-        self._sampled[self._sa_sample_rows] = self._sa_sample_vals
-        self._full_sa = None  # lazily exposed for tests
+        self._sampled = np.where(mask, sa, -1)
 
     # ----- core operations ---------------------------------------------
 
     def occ(self, c: int, k: int) -> int:
         """Occurrences of symbol *c* in ``bwt[:k]``."""
-        cp = k // self.occ_rate
-        base = int(self._occ_checkpoints[cp, c])
-        start = cp * self.occ_rate
-        if start < k:
-            base += int(np.count_nonzero(self._bwt[start:k] == c))
-        return base
+        return (self._occ_checkpoints.item(k // self.occ_rate, c)
+                + self._occ_inblock.item(k, c))
 
     def lf(self, row: int) -> int:
         """LF mapping of one row (sentinel row maps to row 0)."""
@@ -126,13 +117,57 @@ class FMIndex:
         return self.search(pattern).count
 
     def locate(self, rng: SARange, max_hits: int | None = None) -> np.ndarray:
-        """Text positions of the matches in *rng* (sorted)."""
-        rows = range(rng.lo, rng.hi if max_hits is None else min(rng.hi, rng.lo + max_hits))
-        out = []
-        for row in rows:
-            r, steps = row, 0
-            while self._sampled[r] < 0:
-                r = self.lf(r)
-                steps += 1
-            out.append(int(self._sampled[r]) + steps)
-        return np.sort(np.asarray(out, dtype=np.int64))
+        """Text positions of the matches in *rng* (sorted).
+
+        Every row of the range LF-walks at once; a row leaves the walk
+        when it reaches a sampled suffix-array entry.
+        """
+        hi = rng.hi if max_hits is None else min(rng.hi, rng.lo + max_hits)
+        rows = np.arange(rng.lo, max(hi, rng.lo), dtype=np.int64)
+        out = self._sampled[rows]
+        steps = 0
+        pending = np.flatnonzero(out < 0)
+        while pending.size:
+            steps += 1
+            rows[pending] = self._lf_rows(rows[pending])
+            hit = self._sampled[rows[pending]]
+            found = hit >= 0
+            out[pending[found]] = hit[found] + steps
+            pending = pending[~found]
+        return np.sort(out)
+
+    def _lf_rows(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`lf` over an array of rows."""
+        c = self._bwt[rows].astype(np.intp)
+        sentinel = c == SENTINEL
+        c[sentinel] = 0
+        nxt = (self.C[c] + self._occ_checkpoints[rows // self.occ_rate, c]
+               + self._occ_inblock[rows, c])
+        nxt[sentinel] = 0
+        return nxt
+
+
+def _rank_tables(bwt: np.ndarray, rate: int) -> tuple[np.ndarray, np.ndarray]:
+    """Occurrence checkpoints and the in-block rank table of *bwt*.
+
+    ``checkpoints[b, c]`` counts ``c`` in ``bwt[:b * rate]`` and
+    ``inblock[k, c]`` counts it in ``bwt[(k // rate) * rate : k]``, for
+    every ``k`` in ``[0, len(bwt)]``.  Built one symbol at a time from
+    per-block sums and a small-dtype cumsum, so no temporary is wider
+    than the in-block dtype.
+    """
+    m = bwt.size
+    n_blocks = m // rate + 1
+    dtype = np.min_scalar_type(rate - 1)
+    checkpoints = np.zeros((n_blocks, _N_SYMBOLS), dtype=np.int64)
+    inblock = np.empty((m + 1, _N_SYMBOLS), dtype=dtype)
+    blocks = np.zeros((n_blocks, rate), dtype=dtype)
+    flat = blocks.reshape(-1)
+    for c in range(_N_SYMBOLS):
+        flat[:m] = bwt == c
+        np.cumsum(blocks.sum(axis=1, dtype=np.int64)[:-1], out=checkpoints[1:, c])
+        # Exclusive in-block prefix count.  The inclusive cumsum can
+        # reach ``rate`` and wrap the dtype; subtracting the block back
+        # out wraps it home, since the exclusive count is < ``rate``.
+        inblock[:, c] = (np.cumsum(blocks, axis=1, dtype=dtype) - blocks).reshape(-1)[: m + 1]
+    return checkpoints, inblock

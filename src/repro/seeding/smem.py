@@ -12,11 +12,12 @@ extension-job length distributions of Fig. 2.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fm_index import FMIndex
+from .fm_index import FMIndex, SARange
 
 __all__ = ["Seed", "SmemSeeder"]
 
@@ -61,9 +62,41 @@ class SmemSeeder:
         self.reference = np.asarray(reference, dtype=np.uint8)
         if min_seed_len < 1:
             raise ValueError("min_seed_len must be positive")
+        if max_hits < 1:
+            raise ValueError("max_hits must be positive")
         self.min_seed_len = min_seed_len
         self.max_hits = max_hits
         self._fm_rev = FMIndex(self.reference[::-1].copy())
+
+    def _extend(self, codes: list[int], qpos: int) -> tuple[int, int, int]:
+        """Grow the match of ``codes[qpos:]`` one symbol at a time.
+
+        Returns ``(length, lo, hi)``: the SA range ``[lo, hi)`` of the
+        maximal match in the reversed reference (all rows when
+        ``length == 0``).
+        """
+        fm = self._fm_rev
+        C = fm.C.tolist()
+        checkpoint, inblock, rate = fm._occ_checkpoints.item, fm._occ_inblock.item, fm.occ_rate
+        lo, hi = 0, fm.n + 1
+        length = 0
+        for c in itertools.islice(codes, qpos, None):
+            if c >= 4:  # N never matches exactly
+                break
+            nlo = C[c] + checkpoint(lo // rate, c) + inblock(lo, c)
+            nhi = C[c] + checkpoint(hi // rate, c) + inblock(hi, c)
+            if nlo >= nhi:
+                break
+            lo, hi = nlo, nhi
+            length += 1
+        return length, lo, hi
+
+    def _positions(self, lo: int, hi: int, length: int) -> np.ndarray:
+        """Sorted reference starts of the first ``max_hits + 1`` rows."""
+        rev_positions = self._fm_rev.locate(SARange(lo, hi), max_hits=self.max_hits + 1)
+        # A match starting at p in the reversed text spans
+        # rev[p : p+len], i.e. ref[n - p - len : n - p].
+        return np.sort(self.reference.size - rev_positions - length)
 
     def longest_match(self, query: np.ndarray, qpos: int) -> tuple[int, np.ndarray]:
         """Longest exact match of ``query[qpos:...]`` and its ref hits.
@@ -71,37 +104,25 @@ class SmemSeeder:
         Returns ``(length, ref_positions)``; positions are of the last
         range *before* the match broke (i.e. of the maximal match).
         """
-        query = np.asarray(query, dtype=np.uint8)
-        rng = self._fm_rev.full_range()
-        length = 0
-        last_rng = rng
-        for c in query[qpos:]:
-            if c >= 4:  # N never matches exactly
-                break
-            nxt = self._fm_rev.backward_extend(rng, int(c))
-            if nxt.empty:
-                break
-            rng, last_rng = nxt, nxt
-            length += 1
+        length, lo, hi = self._extend(np.asarray(query, dtype=np.uint8).tolist(), qpos)
         if length == 0:
             return 0, np.empty(0, dtype=np.int64)
-        rev_positions = self._fm_rev.locate(last_rng, max_hits=self.max_hits + 1)
-        # A match starting at p in the reversed text spans
-        # rev[p : p+len], i.e. ref[n - p - len : n - p].
-        n = self.reference.size
-        positions = np.sort(n - rev_positions - length)
-        return length, positions
+        return length, self._positions(lo, hi, length)
 
     def seed(self, query: np.ndarray) -> list[Seed]:
-        """Maximal-match cover of *query* as :class:`Seed` records."""
-        query = np.asarray(query, dtype=np.uint8)
+        """Maximal-match cover of *query* as :class:`Seed` records.
+
+        Only matches that are kept are located: at least
+        ``min_seed_len`` long and with 1 to ``max_hits`` hits.
+        """
+        codes = np.asarray(query, dtype=np.uint8).tolist()
         seeds: list[Seed] = []
         qpos = 0
-        while qpos + self.min_seed_len <= query.size:
-            length, positions = self.longest_match(query, qpos)
-            if length >= self.min_seed_len and 0 < positions.size <= self.max_hits:
-                for rpos in positions:
-                    seeds.append(Seed(qpos=qpos, rpos=int(rpos), length=length))
+        while qpos + self.min_seed_len <= len(codes):
+            length, lo, hi = self._extend(codes, qpos)
+            if length >= self.min_seed_len and 0 < hi - lo <= self.max_hits:
+                for rpos in self._positions(lo, hi, length).tolist():
+                    seeds.append(Seed(qpos=qpos, rpos=rpos, length=length))
                 qpos += max(length // 2, 1)  # overlap re-seeding, as BWA-MEM
             else:
                 qpos += max(length, 1)

@@ -37,6 +37,21 @@ class TestSuffixArray:
         sa = suffix_array(codes)
         assert sorted(sa) == list(range(codes.size + 1))
 
+    @pytest.mark.parametrize("kind", ["AC-repeat", "all-A", "planted-repeats"])
+    def test_periodic_texts_longer_than_the_packed_key(self, rng, kind):
+        # Suffixes that share more than the 24 symbols of the first
+        # round's key are ordered only by the doubling rounds.
+        if kind == "AC-repeat":
+            codes = np.tile(np.array([0, 1], dtype=np.uint8), 150)
+        elif kind == "all-A":
+            codes = np.zeros(300, dtype=np.uint8)
+        else:
+            codes = rng.integers(0, 5, 600).astype(np.uint8)
+            unit = rng.integers(0, 4, 60).astype(np.uint8)
+            for pos in range(10, 600, 100):
+                codes[pos : pos + 60] = unit
+        assert (suffix_array(codes) == naive_suffix_array(codes)).all()
+
 
 class TestBWT:
     @pytest.mark.parametrize("n", [1, 5, 100, 333])
@@ -58,6 +73,41 @@ class TestFMIndex:
         rng = np.random.default_rng(99)
         codes = rng.integers(0, 4, 3000).astype(np.uint8)
         return FMIndex(codes), codes
+
+    @pytest.mark.parametrize("occ_rate", [1, 3, 64, 100, 300])
+    def test_occ_matches_bruteforce(self, rng, occ_rate):
+        # 997 symbols with N: the 998 BWT rows are not a multiple of
+        # any rate above 2.
+        codes = rng.integers(0, 5, 997).astype(np.uint8)
+        fm = FMIndex(codes, occ_rate=occ_rate)
+        b, _ = bwt(codes)
+        for c in range(5):
+            brute = np.concatenate([[0], np.cumsum(b == c)])
+            assert [fm.occ(c, k) for k in range(b.size + 1)] == brute.tolist()
+        assert fm._occ_inblock.dtype == (np.uint8 if occ_rate <= 256 else np.uint16)
+
+    @pytest.mark.parametrize("sa_sample_rate", [1, 5, 32])
+    def test_locate_matches_find(self, rng, sa_sample_rate):
+        codes = rng.integers(0, 5, 600).astype(np.uint8)
+        fm = FMIndex(codes, occ_rate=7, sa_sample_rate=sa_sample_rate)
+        text = codes.tobytes()
+        # Prefixes of the text end their walk at the sentinel row.
+        patterns = [codes[:1], codes[:3], codes[:30], codes[250:256], codes[-4:]]
+        patterns += [np.array(p, dtype=np.uint8) for p in ([0], [4], [1, 2], [3, 3, 0])]
+        for pat in patterns:
+            brute = [i for i in range(codes.size) if text.startswith(pat.tobytes(), i)]
+            assert fm.locate(fm.search(pat)).tolist() == brute
+
+    def test_locate_every_row(self, rng):
+        # The empty pattern's range covers every row, the sentinel
+        # suffix and the row whose BWT symbol is the sentinel included.
+        codes = rng.integers(0, 4, 300).astype(np.uint8)
+        fm = FMIndex(codes, occ_rate=16, sa_sample_rate=11)
+        assert fm.locate(fm.full_range()).tolist() == list(range(codes.size + 1))
+        rows = np.arange(codes.size + 1)
+        assert fm._lf_rows(rows).tolist() == [fm.lf(r) for r in rows]
+        sentinel_row = int(np.flatnonzero(bwt(codes)[0] == -1)[0])
+        assert fm.lf(sentinel_row) == 0
 
     def test_count_matches_bruteforce(self, fm_and_text, rng):
         fm, codes = fm_and_text
@@ -171,6 +221,25 @@ class TestSmemSeeder:
         read[10] = 4
         length, _ = seeder.longest_match(read, 0)
         assert length <= 10
+
+    def test_max_hits_is_inclusive(self, rng):
+        reference = rng.integers(0, 4, 4000).astype(np.uint8)
+        unit = rng.integers(0, 4, 40).astype(np.uint8)
+        planted = [100, 900, 1700, 2500, 3300]
+        for pos in planted:
+            reference[pos : pos + 40] = unit
+        at_start = [
+            sorted(s.rpos for s in SmemSeeder(reference, min_seed_len=20, max_hits=cap)
+                   .seed(unit) if s.qpos == 0)
+            for cap in (5, 4)
+        ]
+        assert at_start == [planted, []]
+
+    @pytest.mark.parametrize("max_hits", [0, -1])
+    def test_max_hits_validated(self, max_hits):
+        # max_hits=0 would drop every seed and map nothing, silently.
+        with pytest.raises(ValueError, match="max_hits"):
+            SmemSeeder(np.zeros(50, np.uint8), max_hits=max_hits)
 
     def test_random_read_rarely_seeds(self, small_genome, rng):
         seeder = SmemSeeder(small_genome, min_seed_len=25)
