@@ -1,6 +1,6 @@
 """Engine benchmark: the ISSUE-5 acceptance measurement.
 
-The batched cross-query anti-diagonal engine must achieve **>= 5x
+The batched cross-query row-sweep engine must achieve **>= 5x
 wall-clock** over the per-pair reference engine on a scored mixed
 dataset A+B serve stream, while scores stay bit-identical to the
 reference engine and the row-scan oracle, and the modeled clock,

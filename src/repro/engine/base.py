@@ -38,7 +38,7 @@ local contract the serve path requires.
 
 The exact local backends that ship: ``reference`` (per-pair faithful
 dataflow, :func:`repro.core.intra_query.saloba_extend_exact`),
-``batched`` (cross-query anti-diagonal sweep), ``striped`` (batched
+``batched`` (cross-query row sweep), ``striped`` (batched
 Farrar-striped sweep), and ``pruned`` (block-grid sweep with
 CUDAlign-style block pruning).  The bounded / alternative-endpoint
 family from :mod:`repro.align` registers alongside them: ``banded``,

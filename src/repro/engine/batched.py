@@ -1,22 +1,26 @@
-"""Cross-query batched anti-diagonal sweep (the ``batched`` engine).
+"""Cross-query batched row sweep (the ``batched`` engine).
 
 The reference engine walks one Python wavefront per job; this engine
 scores an entire micro-batch at once.  All pairs are padded into one
-``batch x lane`` state array (lane ``i`` holds cell ``(i, d - i)`` of
-the current anti-diagonal ``d``), so each step of the affine-gap
-recurrence (Eqs. 1-3) is a handful of ``np.maximum``/gather passes
-over the whole batch — AnySeq/GPU's cross-sequence batching idea, with
-the lazy-F observation that the recurrence vectorizes cleanly once the
-batch is one dense array.
+``batch x N`` row (``N`` the longest query), and the sweep runs over
+the ``M`` reference rows: each step computes one DP row of every pair
+with a handful of contiguous ``np.maximum``/``add`` passes —
+AnySeq/GPU's cross-sequence batching, with Snytsar's lazy-F
+deconstruction of the horizontal gap ``E`` into one prefix max
+(``np.maximum.accumulate``) per row.  The paper's anti-diagonal order
+exists to give a GPU warp independent cells; on the host a whole row
+is independent once ``E`` is a prefix scan, so the loop makes ``M``
+steps, not ``M + N``.
 
 Padding discipline:
 
 * reference/query tails beyond a pair's real length hold the ``PAD``
   code, whose substitution score is :data:`~repro.align.scoring.NEG_INF`
-  — a padded cell can never start or extend an optimal local alignment;
-* lanes outside a pair's valid band are forced back to the local-
-  alignment boundary (``H = 0``, ``E = F = NEG_INF``) after every
-  diagonal, exactly the state the per-pair sweep keeps there;
+  — a padded cell only ever holds 0 or a value below a real cell
+  already swept, and never feeds a real cell, so ragged pairs need no
+  mask;
+* substitution scores come from a per-pair query profile built once
+  per group, so each row's scores are one gather;
 * arithmetic is int64, so ``NEG_INF`` survives repeated ``- beta``
   without wrapping.
 
@@ -27,11 +31,9 @@ are bit-identical to the row-scan oracle ``sw_align_slow`` and to the
 reference engine.
 
 The same sweep is the ``banded`` engine (:mod:`repro.engine.variants`):
-given per-pair ``bands`` it adds a band mask and the row scan's
-endpoint tie-break, and is then bit-identical, endpoints included, to
-:func:`repro.align.banded.banded_sw_align`.  Both choices are made once
-per group, so the exact path runs the same array operations per
-diagonal either way.
+given per-pair ``bands`` it adds a per-row band mask and the row
+scan's endpoint tie-break, and is then bit-identical, endpoints
+included, to :func:`repro.align.banded.banded_sw_align`.
 
 Very large or very ragged batches are split into length-coherent
 sub-batches under a cell budget (``max_state_cells``) so short pairs
@@ -60,113 +62,106 @@ def _sweep_group(
     scoring: ScoringScheme,
     bands: list[int] | None = None,
 ) -> list[AlignmentResult]:
-    """Score one padded sub-batch with the 3-D anti-diagonal sweep.
+    """Score one padded sub-batch with the row sweep.
 
-    With *bands*, lanes outside each pair's band ``|i - j| <= band``
-    are forced back to the local boundary state too.  That forcing is
-    *score-preserving* for the in-band cells: a cell's diagonal
-    predecessor shares its ``|i - j|`` and is therefore never
-    out-of-band, so only the E/F arms can cross the band edge — and
-    they enter as ``max(0 - alpha, NEG_INF - beta) < 0``, which the
-    local zero floor dominates and whose propagation is dominated by
-    the in-band ``H - alpha`` arm.  In-band ``H`` values are thus bit-
-    identical to :func:`~repro.align.banded.banded_sw_align`'s, and
-    the banded sweep tracks the best cell with that row scan's
-    tie-break so endpoints match it too.
+    Row ``i`` of every pair is computed at once from row ``i - 1``
+    (``H``/``F`` from above), as contiguous ``(batch, N)`` arrays:
+
+    * ``F = max(H_up - alpha, F_up - beta)``;
+    * ``H~ = max(H_diag + S, F, 0)``;
+    * ``E(j) = max_k<j (H~(k) + beta*k) - alpha - beta*(j-1)``, one
+      prefix max over the row, ``k = 0`` being the ``H = 0`` boundary;
+    * ``H = max(H~, E)``.
+
+    Using ``H~`` instead of ``H`` inside E is exact because
+    :class:`ScoringScheme` enforces ``beta <= alpha``: an E arm that
+    starts from an E-derived ``H(k) = H(k') - alpha - beta*(k-1-k')``
+    scores ``alpha - beta >= 0`` less than the arm that starts from
+    ``H(k')`` directly, so it is always dominated.
+
+    With *bands*, cells outside each pair's band ``|i - j| <= band``
+    are forced back to the local boundary state (``H~ = H = 0``,
+    ``F = NEG_INF``).  That forcing is *score-preserving* for the
+    in-band cells: a cell's diagonal predecessor shares its
+    ``|i - j|`` and is therefore never out-of-band, so only the E/F
+    arms can cross the band edge — and they enter as
+    ``max(0 - alpha, NEG_INF - beta) < 0``, which the local zero floor
+    dominates and whose propagation is dominated by the in-band
+    ``H - alpha`` arm.  In-band ``H`` values are thus bit-identical to
+    :func:`~repro.align.banded.banded_sw_align`'s.
+
+    Each row records its first maximum; the best cell is resolved from
+    those after the sweep.  Exact: the highest score, then the smallest
+    diagonal ``i + j``, then the smallest reference index — the
+    tie-break of :func:`~repro.align.antidiagonal.sw_align`.  Banded:
+    the first row reaching the highest score — the row-major scan of
+    ``banded_sw_align``.
     """
     B = len(refs)
-    m = np.array([r.size for r in refs], dtype=np.int64)
-    n = np.array([q.size for q in queries], dtype=np.int64)
-    M = int(m.max())
-    N = int(n.max())
+    M = max(r.size for r in refs)
+    N = max(q.size for q in queries)
     r_pad = np.full((B, M), PAD, dtype=np.intp)
     q_pad = np.full((B, N), PAD, dtype=np.intp)
     for b, (r, q) in enumerate(zip(refs, queries)):
         r_pad[b, : r.size] = r
         q_pad[b, : q.size] = q
-    sub = scoring.matrix.astype(np.int64)
     alpha = np.int64(scoring.alpha)
     beta = np.int64(scoring.beta)
+    # Query profile: prof[c, b, j - 1] = S(c, q_b[j]).  Padded codes
+    # score NEG_INF, so a padded cell only ever holds 0 or a value
+    # strictly below a real cell already swept, and it never feeds a
+    # real cell (the recurrence only looks up and left): ragged pairs
+    # need no mask.
+    prof = scoring.matrix.astype(np.int64)[:, q_pad]
+    pair = np.arange(B)
+    beta_k = beta * np.arange(1, N + 1, dtype=np.int64)  # beta*k, k = 1..N
+    e_off = alpha + beta * np.arange(N, dtype=np.int64)  # alpha + beta*(j-1)
 
-    # Lane i of row b holds cell (i, d - i); lane 0 is the j-axis
-    # boundary (H = 0, E/F = -inf for local alignment), kept implicit
-    # by the fill values below.
-    H_prev2 = np.zeros((B, M + 1), dtype=np.int64)
-    H_prev = np.zeros((B, M + 1), dtype=np.int64)
-    E_prev = np.full((B, M + 1), NEG_INF, dtype=np.int64)
-    F_prev = np.full((B, M + 1), NEG_INF, dtype=np.int64)
+    H = np.zeros((B, N + 1), dtype=np.int64)  # column 0: the H = 0 boundary
+    F = np.full((B, N), NEG_INF, dtype=np.int64)
+    T = np.zeros((B, N + 1), dtype=np.int64)  # H~(k) + beta*k, T[:, 0] = 0
+    Ht = np.empty((B, N), dtype=np.int64)
+    tmp = np.empty((B, N), dtype=np.int64)
+    row_max = np.empty((M, B), dtype=np.int64)
+    row_arg = np.empty((M, B), dtype=np.intp)
+    if bands is not None:
+        band_col = np.array(bands, dtype=np.int64)[:, None]
+        cols = np.arange(1, N + 1, dtype=np.int64)
 
-    best = np.zeros(B, dtype=np.int64)
-    best_i = np.zeros(B, dtype=np.int64)
-    best_j = np.zeros(B, dtype=np.int64)
-    m_col = m[:, None]
-    n_col = n[:, None]
-    band_col = None if bands is None else np.array(bands, dtype=np.int64)[:, None]
-    lane_i = np.arange(M + 1, dtype=np.int64)
+    for i in range(1, M + 1):
+        np.add(H[:, :-1], prof[r_pad[:, i - 1], pair], out=Ht)
+        np.subtract(H[:, 1:], alpha, out=tmp)
+        np.subtract(F, beta, out=F)
+        np.maximum(F, tmp, out=F)
+        np.maximum(Ht, F, out=Ht)
+        np.maximum(Ht, 0, out=Ht)
+        if bands is not None:
+            outside = np.abs(cols - i) > band_col
+            np.copyto(Ht, 0, where=outside)
+            np.copyto(F, NEG_INF, where=outside)
+        np.add(Ht, beta_k, out=T[:, 1:])
+        np.maximum.accumulate(T, axis=1, out=T)
+        np.subtract(T[:, :-1], e_off, out=tmp)
+        np.maximum(Ht, tmp, out=H[:, 1:])
+        if bands is not None:
+            np.copyto(H[:, 1:], 0, where=outside)
+        row_arg[i - 1] = H[:, 1:].argmax(axis=1)
+        row_max[i - 1] = H[pair, row_arg[i - 1] + 1]
 
-    for d in range(2, M + N + 1):
-        lo = max(1, d - N)
-        hi = min(M, d - 1)  # inclusive
-        if lo > hi:
-            continue
-        sl = slice(lo, hi + 1)
-        i_vals = lane_i[sl]
-        # E(i, j) from (i, j-1): same lane on diagonal d-1.
-        e_new = np.maximum(H_prev[:, sl] - alpha, E_prev[:, sl] - beta)
-        # F(i, j) from (i-1, j): lane i-1 on diagonal d-1.
-        f_new = np.maximum(
-            H_prev[:, lo - 1 : hi] - alpha, F_prev[:, lo - 1 : hi] - beta
-        )
-        # H(i-1, j-1) + S(i, j): lane i-1 on diagonal d-2.  The query
-        # gather runs j-1 = d-i-1 across the slice; both gathers stay
-        # in range because the slice bounds clamp i to [d-N, d-1].
-        s = sub[r_pad[:, lo - 1 : hi], q_pad[:, d - i_vals - 1]]
-        h_diag = H_prev2[:, lo - 1 : hi] + s
-        h_new = np.maximum(np.maximum(e_new, f_new), np.maximum(h_diag, 0))
-
-        # Mask lanes outside a pair's own matrix (ragged batches only
-        # share the widest pair's slice) — and, banded, outside its
-        # band |i - j| = |2i - d| — back to the boundary state the
-        # per-pair sweep keeps there.
-        valid = (i_vals[None, :] <= m_col) & ((d - i_vals)[None, :] <= n_col)
-        if band_col is not None:
-            valid &= np.abs(2 * i_vals - d)[None, :] <= band_col
-        h_new = np.where(valid, h_new, 0)
-        e_new = np.where(valid, e_new, NEG_INF)
-        f_new = np.where(valid, f_new, NEG_INF)
-
-        # Roll state buffers (reuse the retiring d-2 buffer).
-        H_prev2, H_prev = H_prev, H_prev2
-        H_prev.fill(0)
-        H_prev[:, sl] = h_new
-        E_prev.fill(NEG_INF)
-        E_prev[:, sl] = e_new
-        F_prev.fill(NEG_INF)
-        F_prev[:, sl] = f_new
-
-        # Best-cell tracking, batch-wide.  Exact: update only on a
-        # strict improvement (smallest diagonal wins), argmax takes the
-        # first occurrence (smallest reference index wins).  Banded:
-        # the row scan's row-major tie-break — an equal score on this
-        # later diagonal also wins with a strictly smaller reference
-        # row (equal rows mean a larger j here).  Invalid lanes hold 0
-        # and can never beat a strictly positive maximum.
-        dmax = h_new.max(axis=1)
-        improved = dmax > best
-        take = improved
-        if band_col is not None:
-            pos = h_new.argmax(axis=1) + lo
-            take = improved | ((dmax == best) & (best > 0) & (pos < best_i))
-        if take.any():
-            if band_col is None:
-                pos = h_new.argmax(axis=1) + lo
-            best_i = np.where(take, pos, best_i)
-            best_j = np.where(take, d - pos, best_j)
-            best = np.where(improved, dmax, best)
-
+    best = row_max.max(axis=0)
+    if bands is None:
+        # Among the rows reaching the best score, the smallest i + j
+        # (j = argmax + 1), then the smallest i.
+        rows = np.arange(1, M + 1, dtype=np.int64)[:, None]
+        key = np.where(row_max == best, (rows + row_arg) * (M + 1) + rows, np.iinfo(np.int64).max)
+        best_row = key.argmin(axis=0)
+    else:
+        best_row = row_max.argmax(axis=0)
+    best_col = row_arg[best_row, pair] + 1
     return [
-        AlignmentResult(score=int(best[b]), ref_end=int(best_i[b]), query_end=int(best_j[b]))
-        for b in range(B)
+        AlignmentResult(score=int(s), ref_end=int(i + 1), query_end=int(j))
+        if s > 0 else _EMPTY
+        for s, i, j in zip(best, best_row, best_col)
     ]
 
 
@@ -183,8 +178,10 @@ def sweep_length_groups(pairs, sweep, *, lanes, max_state_cells: int) -> list[Al
     whenever the next pair would more than double the group's smallest
     extent or push the padded state (``rows x (max lanes + 1)``) past
     *max_state_cells*.  ``lanes(ref, query)`` is one pair's state
-    width along the sweep's lane axis, and ``sweep(indices, refs,
-    queries)`` scores one group (*indices* are submission positions).
+    width along the sweep's lane axis — the query length for the
+    batched row sweep, whose rows run along the query — and
+    ``sweep(indices, refs, queries)`` scores one group (*indices* are
+    submission positions).
     The regrouping is deterministic and invisible in the results.
     """
     results: list[AlignmentResult | None] = [None] * len(pairs)
@@ -233,7 +230,7 @@ def batched_sw_align(
     bit-identical, endpoints included, to calling
     :func:`~repro.align.banded.banded_sw_align` per pair.  The batch
     is regrouped under *max_state_cells* by
-    :func:`sweep_length_groups` (lanes run along the reference).
+    :func:`sweep_length_groups` (lanes run along the query).
     """
     scoring = scoring or ScoringScheme()
     if bands is not None:
@@ -248,13 +245,13 @@ def batched_sw_align(
         return _sweep_group(refs, queries, scoring, group_bands)
 
     return sweep_length_groups(
-        pairs, sweep, lanes=lambda r, q: r.size, max_state_cells=max_state_cells
+        pairs, sweep, lanes=lambda r, q: q.size, max_state_cells=max_state_cells
     )
 
 
 @register_engine
 class BatchedWavefrontEngine(ExecutionEngine):
-    """Cross-query batched anti-diagonal scoring.  See module docstring."""
+    """Cross-query batched row-sweep scoring.  See module docstring."""
 
     name = "batched"
 

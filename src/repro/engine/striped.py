@@ -1,7 +1,7 @@
 """Batched Farrar-striped Smith-Waterman (the ``striped`` engine).
 
 The third engine next to the per-pair reference dataflow and the
-cross-query anti-diagonal sweep: the whole micro-batch is padded into
+cross-query row sweep: the whole micro-batch is padded into
 one ``batch x stripe x lane`` striped query profile (CUDASW++ 2.0's
 "virtualized SIMD" layout) and all pairs' DP rows advance together.
 Per reference base the inner loop runs ``stripes`` dependency-free
@@ -9,16 +9,12 @@ vector steps over ``batch x lane`` slices, with Snytsar's
 de(con)structed lazy-F correction pass — vectorized across the batch —
 fixing the rare gap carries that cross lane boundaries.
 
-Why a third engine: the anti-diagonal sweep iterates ``m + n``
-diagonals per group and re-gathers the substitution score on every
-one, so short-read bins pay a large per-diagonal Python overhead for
-thin bands.  The striped layout precomputes the profile once per
-group, iterates only ``m`` rows with ``p`` flat NumPy ops each, and
-pays the lazy-F loop only when a gap actually crosses lanes — which is
-what makes it the fast backend for short, near-homogeneous bins while
-the diagonal sweep keeps winning on long ragged ones (see
-``benchmarks/bench_striped.py`` for the measured crossover and
-:mod:`repro.serve.binning` for the per-bin adaptive selection).
+The striped layout precomputes the profile once per group, iterates
+the ``m`` reference rows with ``p`` flat NumPy ops each, and pays the
+lazy-F loop only when a gap actually crosses lanes (see
+``benchmarks/bench_striped.py`` for the measured comparison with the
+batched row sweep and :mod:`repro.serve.binning` for the per-bin
+adaptive selection).
 
 Padding discipline mirrors the batched engine:
 

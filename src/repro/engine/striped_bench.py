@@ -1,15 +1,14 @@
 """Striped-engine benchmark: three fixed engines vs per-bin adaptive.
 
 The engine registry now holds three backends whose wall-clock ranking
-is *length-dependent*: the batched anti-diagonal sweep pays ``m + n``
-Python-level diagonals per group (cheap for long ragged pairs, heavy
-for thin short-read bands) while the striped sweep pays ``m * p`` row
-steps plus the occasional lazy-F lap (cheap for short near-homogeneous
-bins, see :mod:`repro.engine.striped`).  No single fixed engine wins
-the serve layer's mixed dataset A+B stream — which is exactly the
-situation ``--engine auto`` (:data:`~repro.engine.AUTO_ENGINE`) is
-for: each length bin races the registered engines on its first-traffic
-sample and pins its own winner.
+can be *length-dependent*: the batched row sweep pays ``m`` row steps
+of whole-row passes per group, while the striped sweep pays ``m * p``
+row steps plus the occasional lazy-F lap (see
+:mod:`repro.engine.striped`).  Where no single fixed engine wins
+every bin of the serve layer's mixed dataset A+B stream, ``--engine
+auto`` (:data:`~repro.engine.AUTO_ENGINE`) is the answer: each length
+bin races the registered engines on its first-traffic sample and pins
+its own winner.
 
 This benchmark runs the same scored mixed stream through four
 otherwise identical :class:`~repro.serve.service.AlignmentService`

@@ -4,14 +4,14 @@ The banded, x-drop, semiglobal, NW, and pruning scorers are
 :class:`~repro.engine.base.ExecutionEngine` backends with capability
 descriptors, so serve, cluster, pipeline, CLI, and the QoS degradation
 ladder select them through the registry like any exact engine.
-``banded`` is a configuration of the batched anti-diagonal sweep; the
+``banded`` is a configuration of the batched row sweep; the
 other four still loop over their per-pair :mod:`repro.align` function
 inside ``score_batch``:
 
 ``banded``
     Band-restricted local Smith-Waterman (Discussion VII-B).  Bounded
     (``bound_params=("band",)``): cells with ``|i - j| > band`` are
-    unreachable.  Scored by the ``batched`` engine's anti-diagonal
+    unreachable.  Scored by the ``batched`` engine's row
     sweep (:func:`repro.engine.batched.batched_sw_align` with per-pair
     ``bands``); results are bit-identical — endpoints included — to
     :func:`repro.align.banded.banded_sw_align`.
@@ -102,8 +102,10 @@ class BandedEngine(ExecutionEngine):
         """The band this engine will use for *job*."""
         if self.band is not None:
             return self.band
+        # Clamped to 1 so a job with both sides empty still gets a band
+        # (its result is the empty alignment whatever the band).
         return band_for_error_rate(
-            max(job.ref_len, job.query_len), self.error_rate
+            max(job.ref_len, job.query_len, 1), self.error_rate
         )
 
     def score_batch(

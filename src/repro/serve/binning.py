@@ -98,8 +98,7 @@ class BinTuner:
     pass additionally races every registered execution engine on the
     bin's sample — a real wall-clock measurement, since engines differ
     *only* in host speed — and pins the winner per bin (the Fig. 8c
-    machinery applied to backend choice: short-read bins tend to pick
-    the striped engine, long ragged bins the anti-diagonal one).  The
+    machinery applied to backend choice).  The
     modeled clock, metrics, and trace timings stay engine-independent
     by construction; only ``bin.tune`` spans gain the (machine-
     dependent) selection attributes, and only in auto mode.

@@ -115,7 +115,7 @@ class AlignmentService:
     engine:
         Exact-scoring execution backend (:mod:`repro.engine`): a
         registered name (``"reference"`` per-pair dataflow — the
-        default; ``"batched"`` cross-query anti-diagonal sweep;
+        default; ``"batched"`` cross-query row sweep;
         ``"striped"`` batched Farrar-striped sweep), an
         :class:`~repro.engine.ExecutionEngine` instance, or
         :data:`~repro.engine.AUTO_ENGINE` (``"auto"``) to let each

@@ -36,7 +36,21 @@ SCHEMES = [
     bwa_mem_scoring(),
     ScoringScheme(match=2, mismatch=-3, alpha=5, beta=2),
     ScoringScheme(match=3, mismatch=-1, alpha=2, beta=1),
+    # beta == alpha: the edge of the row sweep's E dominance argument.
+    ScoringScheme(match=2, mismatch=-2, alpha=3, beta=3),
 ]
+
+
+def _periodic_pairs():
+    """Tie-heavy pairs: many cells share the best score."""
+    ac = np.tile(np.array([0, 1], np.uint8), 12)
+    acg = np.tile(np.array([0, 1, 2], np.uint8), 9)
+    return [
+        (np.zeros(17, np.uint8), np.zeros(11, np.uint8)),  # all-A
+        (ac, np.roll(ac, 1)[:19]),  # "AC"*k against a shifted copy
+        (acg, np.delete(acg, 13)),  # 3-base repeat, one deletion
+        (np.delete(acg, 4), acg[:20]),
+    ]
 
 
 def _random_pairs(rng, n, hi=60, with_n=True):
@@ -95,10 +109,12 @@ class TestBatchedSweepProperties:
     def test_random_ragged_batches_match_oracle(self, scheme_idx):
         """Scores bit-identical to the row-scan oracle; full results
         (endpoints included) bit-identical to sw_align, across ragged
-        lengths, empty sides, N codes, and all scoring schemes."""
+        lengths, empty sides, N codes, tie-heavy periodic pairs, and
+        all scoring schemes."""
         scoring = SCHEMES[scheme_idx]
         rng = np.random.default_rng(1000 + scheme_idx)
         pairs = _random_pairs(rng, 30)
+        pairs += _periodic_pairs() + [(q, r) for r, q in _periodic_pairs()]
         pairs.append((pairs[0][0], pairs[0][0].copy()))  # identical pair
         pairs.append((np.empty(0, np.uint8), pairs[1][1]))  # empty ref
         pairs.append((pairs[2][0], np.empty(0, np.uint8)))  # empty query

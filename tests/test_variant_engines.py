@@ -187,22 +187,35 @@ class TestVariantEngineFidelity:
                 assert res == banded_sw_align(j.ref, j.query, band, SCORING)
 
     def test_banded_engine_default_band_matches_qos_sizing(self, rng):
-        jobs = _jobs(_random_pairs(rng, 12, hi=90))
+        empty = np.empty(0, np.uint8)
+        jobs = _jobs(_random_pairs(rng, 12, hi=90) + [(empty, empty)])
         eng = BandedEngine(error_rate=0.05)
         got = eng.score_batch(jobs, SCORING)
+        assert got[-1] == AlignmentResult(0, 0, 0)
         for j, res in zip(jobs, got):
-            band = band_for_error_rate(max(j.ref_len, j.query_len), 0.05)
+            # The sizing length is clamped to 1 for the both-empty job.
+            band = band_for_error_rate(max(j.ref_len, j.query_len, 1), 0.05)
             assert eng.band_for_job(j) == band
             assert res == banded_sw_align(j.ref, j.query, band, SCORING)
 
     def test_batched_banded_regrouping_invariant(self, rng):
-        pairs = _random_pairs(rng, 10, hi=40) + _random_pairs(rng, 3, hi=200)
+        ac = np.tile(np.array([0, 1], np.uint8), 12)
+        acg = np.tile(np.array([0, 1, 2], np.uint8), 9)
+        periodic = [  # tie-heavy: many cells share the best score
+            (np.zeros(17, np.uint8), np.zeros(11, np.uint8)),
+            (ac, np.roll(ac, 1)[:19]),
+            (acg, np.delete(acg, 13)),
+        ]
+        pairs = (_random_pairs(rng, 10, hi=40) + _random_pairs(rng, 3, hi=200)
+                 + periodic + [(q, r) for r, q in periodic])
         bands = [int(b) for b in rng.integers(0, 30, len(pairs))]
-        full = batched_sw_align(pairs, SCORING, bands=bands)
-        forced = batched_sw_align(pairs, SCORING, bands=bands, max_state_cells=1)
-        assert full == forced
-        for (r, q), band, res in zip(pairs, bands, full):
-            assert res == banded_sw_align(r, q, band, SCORING)
+        # beta == alpha is the edge of the row sweep's E dominance argument.
+        for scoring in (SCORING, ScoringScheme(match=2, mismatch=-2, alpha=3, beta=3)):
+            full = batched_sw_align(pairs, scoring, bands=bands)
+            forced = batched_sw_align(pairs, scoring, bands=bands, max_state_cells=1)
+            assert full == forced
+            for (r, q), band, res in zip(pairs, bands, full):
+                assert res == banded_sw_align(r, q, band, scoring)
 
     def test_batched_banded_validates_inputs(self):
         with pytest.raises(ValueError, match="one band per pair"):
