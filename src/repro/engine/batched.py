@@ -2,15 +2,19 @@
 
 The reference engine walks one Python wavefront per job; this engine
 scores an entire micro-batch at once.  All pairs are padded into one
-``batch x N`` row (``N`` the longest query), and the sweep runs over
-the ``M`` reference rows: each step computes one DP row of every pair
-with a handful of contiguous ``np.maximum``/``add`` passes —
-AnySeq/GPU's cross-sequence batching, with Snytsar's lazy-F
-deconstruction of the horizontal gap ``E`` into one prefix max
+``batch x L`` row, and the sweep runs over the ``R`` rows of the
+group's *shorter* axis (``R = min(M, N)``, ``L = max(M, N)``, ``M``
+and ``N`` the longest reference and query): each step computes one DP
+row of every pair with a handful of contiguous ``np.maximum``/``add``
+passes — AnySeq/GPU's cross-sequence batching, with Snytsar's lazy-F
+deconstruction of the horizontal gap into one prefix max
 (``np.maximum.accumulate``) per row.  The paper's anti-diagonal order
 exists to give a GPU warp independent cells; on the host a whole row
-is independent once ``E`` is a prefix scan, so the loop makes ``M``
-steps, not ``M + N``.
+is independent once the horizontal gap is a prefix scan, so the loop
+makes ``min(M, N)`` steps, not ``M + N``.  A group with longer
+references than queries sweeps the query positions, with the
+reference as the lanes: the substitution matrix and the recurrence
+are symmetric in the two sides, so this is the same sweep.
 
 Padding discipline:
 
@@ -19,10 +23,12 @@ Padding discipline:
   — a padded cell only ever holds 0 or a value below a real cell
   already swept, and never feeds a real cell, so ragged pairs need no
   mask;
-* substitution scores come from a per-pair query profile built once
+* substitution scores come from a per-pair lane profile built once
   per group, so each row's scores are one gather;
-* arithmetic is int64, so ``NEG_INF`` survives repeated ``- beta``
-  without wrapping.
+* the state is int32 when a per-group bound (from the scheme's
+  largest substitution score and gap penalties, ``NEG_INF`` and the
+  group's rows and lanes) proves no intermediate value can wrap, and
+  int64 otherwise — see :func:`_sweep_group`.
 
 Scores *and* end coordinates are bit-identical to
 :func:`repro.align.antidiagonal.sw_align` (same first-maximum
@@ -64,12 +70,19 @@ def _sweep_group(
 ) -> list[AlignmentResult]:
     """Score one padded sub-batch with the row sweep.
 
-    Row ``i`` of every pair is computed at once from row ``i - 1``
-    (``H``/``F`` from above), as contiguous ``(batch, N)`` arrays:
+    The sweep's rows run along the group's shorter axis: the ``M``
+    reference positions when ``M <= N`` (``M``/``N`` the longest
+    reference/query), else the ``N`` query positions, with the other
+    side as the ``L`` lanes of each row.  Swapping the sides is exact:
+    :class:`ScoringScheme` builds a symmetric substitution matrix, and
+    the recurrence is symmetric in ``i`` and ``j`` (E and F trade
+    places).  Row ``r`` of every pair is computed at once from row
+    ``r - 1`` (``H``/``F`` from above), as contiguous
+    ``(batch, L + 1)`` arrays whose column 0 is the ``H = 0`` boundary:
 
     * ``F = max(H_up - alpha, F_up - beta)``;
     * ``H~ = max(H_diag + S, F, 0)``;
-    * ``E(j) = max_k<j (H~(k) + beta*k) - alpha - beta*(j-1)``, one
+    * ``E(l) = max_k<l (H~(k) + beta*k) - alpha - beta*(l-1)``, one
       prefix max over the row, ``k = 0`` being the ``H = 0`` boundary;
     * ``H = max(H~, E)``.
 
@@ -77,10 +90,24 @@ def _sweep_group(
     :class:`ScoringScheme` enforces ``beta <= alpha``: an E arm that
     starts from an E-derived ``H(k) = H(k') - alpha - beta*(k-1-k')``
     scores ``alpha - beta >= 0`` less than the arm that starts from
-    ``H(k')`` directly, so it is always dominated.
+    ``H(k')`` directly, so it is always dominated — on either axis.
+
+    The state is int32 when this group's bound proves nothing wraps,
+    else int64.  With ``s+ = max(largest real substitution score, 0)``
+    and ``R <= L`` rows and lanes: ``0 <= H <= s+ * R``; the unfloored
+    ``H_diag + S`` is at most ``s+ * (R + 1)`` and at least the
+    smallest substitution score (the matrix is int32); the prefix-max
+    terms and the E offsets are at most ``s+ * R + alpha + beta * L``,
+    and ``tmp`` at least ``-alpha - beta * L``; ``F`` is at least
+    ``NEG_INF - beta``.  In column 0, ``H + NEG_INF`` and
+    ``T - max_int`` (``H, T >= 0``) stay in range too.  So
+    ``s+ * (R + 1) + alpha + beta * (L + 1) < 2**31 + NEG_INF`` and
+    ``NEG_INF - alpha - beta > -2**31`` suffice (with ``|NEG_INF|`` to
+    spare at the top).
 
     With *bands*, cells outside each pair's band ``|i - j| <= band``
-    are forced back to the local boundary state (``H~ = H = 0``,
+    (symmetric, so the mask is the same in either orientation) are
+    forced back to the local boundary state (``H~ = H = 0``,
     ``F = NEG_INF``).  That forcing is *score-preserving* for the
     in-band cells: a cell's diagonal predecessor shares its
     ``|i - j|`` and is therefore never out-of-band, so only the E/F
@@ -90,78 +117,103 @@ def _sweep_group(
     ``H - alpha`` arm.  In-band ``H`` values are thus bit-identical to
     :func:`~repro.align.banded.banded_sw_align`'s.
 
-    Each row records its first maximum; the best cell is resolved from
-    those after the sweep.  Exact: the highest score, then the smallest
-    diagonal ``i + j``, then the smallest reference index — the
-    tie-break of :func:`~repro.align.antidiagonal.sw_align`.  Banded:
-    the first row reaching the highest score — the row-major scan of
-    ``banded_sw_align``.
+    Each row records its first maximum, the cell with the smallest lane
+    index in that row, and the best cell is resolved from those after
+    the sweep.  Every other best cell of a row has a larger ``i`` or
+    ``j`` than that row's first maximum, so both rules resolve across
+    rows in either orientation.  Exact: the highest score, then the
+    smallest diagonal ``i + j``, then the smallest reference index —
+    the tie-break of :func:`~repro.align.antidiagonal.sw_align`.
+    Banded: the highest score, then the smallest ``i``, then the
+    smallest ``j`` — the row-major scan of ``banded_sw_align``.
     """
     B = len(refs)
     M = max(r.size for r in refs)
     N = max(q.size for q in queries)
-    r_pad = np.full((B, M), PAD, dtype=np.intp)
-    q_pad = np.full((B, N), PAD, dtype=np.intp)
-    for b, (r, q) in enumerate(zip(refs, queries)):
-        r_pad[b, : r.size] = r
-        q_pad[b, : q.size] = q
-    alpha = np.int64(scoring.alpha)
-    beta = np.int64(scoring.beta)
-    # Query profile: prof[c, b, j - 1] = S(c, q_b[j]).  Padded codes
-    # score NEG_INF, so a padded cell only ever holds 0 or a value
-    # strictly below a real cell already swept, and it never feeds a
-    # real cell (the recurrence only looks up and left): ragged pairs
-    # need no mask.
-    prof = scoring.matrix.astype(np.int64)[:, q_pad]
+    swap = M > N
+    row_seqs, lane_seqs = (queries, refs) if swap else (refs, queries)
+    R, L = (N, M) if swap else (M, N)
+    s_pos = max(int(scoring.matrix[:PAD, :PAD].max()), 0)
+    alpha, beta = scoring.alpha, scoring.beta
+    fits = (s_pos * (R + 1) + alpha + beta * (L + 1) < 2**31 + NEG_INF
+            and NEG_INF - alpha - beta > -(2**31))
+    dt = np.int32 if fits else np.int64
+    row_pad = np.full((R, B), PAD, dtype=np.intp)
+    lane_pad = np.full((B, L + 1), PAD, dtype=np.intp)
+    for b, (r, l) in enumerate(zip(row_seqs, lane_seqs)):
+        row_pad[: r.size, b] = r
+        lane_pad[b, 1 : l.size + 1] = l
+    # Lane profile, one line per (code, pair): prof[c * B + b, l] =
+    # S(c, lane_b[l]), so row i's scores are the lines gather[i - 1].
+    # Padded codes (and column 0) score NEG_INF, so a padded cell only
+    # ever holds 0 or a value strictly below a real cell already swept,
+    # and it never feeds a real cell (the recurrence only looks up and
+    # left): ragged pairs need no mask.
+    prof = scoring.matrix.astype(dt)[:, lane_pad].reshape(-1, L + 1)
     pair = np.arange(B)
-    beta_k = beta * np.arange(1, N + 1, dtype=np.int64)  # beta*k, k = 1..N
-    e_off = alpha + beta * np.arange(N, dtype=np.int64)  # alpha + beta*(j-1)
+    gather = row_pad * B + pair
 
-    H = np.zeros((B, N + 1), dtype=np.int64)  # column 0: the H = 0 boundary
-    F = np.full((B, N), NEG_INF, dtype=np.int64)
-    T = np.zeros((B, N + 1), dtype=np.int64)  # H~(k) + beta*k, T[:, 0] = 0
-    Ht = np.empty((B, N), dtype=np.int64)
-    tmp = np.empty((B, N), dtype=np.int64)
-    row_max = np.empty((M, B), dtype=np.int64)
-    row_arg = np.empty((M, B), dtype=np.intp)
+    # Every state array is (batch, L + 1), column 0 the H = 0 boundary,
+    # and every step runs over the whole array as one flat run.  The
+    # diagonal and E arms read "one lane to the left", which is one
+    # flat position back; at a boundary that reads the previous pair's
+    # last lane, and column 0's NEG_INF score and unreachable E offset
+    # keep the boundary at H~ = H = 0.
+    H = np.zeros((B, L + 1), dtype=dt)
+    F = np.full((B, L + 1), NEG_INF, dtype=dt)
+    S = np.empty((B, L + 1), dtype=dt)
+    Ht = np.zeros((B, L + 1), dtype=dt)
+    T = np.empty((B, L + 1), dtype=dt)  # H~(k) + beta*k
+    tmp = np.zeros((B, L + 1), dtype=dt)
+    col = np.arange(L + 1, dtype=dt)
+    beta_k = np.tile(beta * col, (B, 1))  # beta*k
+    e_off = np.tile(alpha + beta * (col - 1), (B, 1))  # alpha + beta*(l-1)
+    e_off[:, 0] = np.iinfo(dt).max
+    # Flat views, "left" (one position back) and "here".
+    h_left, s_here, ht_here = H.ravel()[:-1], S.ravel()[1:], Ht.ravel()[1:]
+    t_left, e_here, off_here = T.ravel()[:-1], tmp.ravel()[1:], e_off.ravel()[1:]
+    alpha, beta, zero = dt(alpha), dt(beta), dt(0)
+    row_max = np.empty((R, B), dtype=dt)
+    row_arg = np.empty((R, B), dtype=np.intp)
     if bands is not None:
         band_col = np.array(bands, dtype=np.int64)[:, None]
-        cols = np.arange(1, N + 1, dtype=np.int64)
+        cols = np.arange(L + 1, dtype=np.int64)
 
-    for i in range(1, M + 1):
-        np.add(H[:, :-1], prof[r_pad[:, i - 1], pair], out=Ht)
-        np.subtract(H[:, 1:], alpha, out=tmp)
+    for i in range(1, R + 1):
+        np.take(prof, gather[i - 1], axis=0, out=S)
+        np.add(h_left, s_here, out=ht_here)
+        np.subtract(H, alpha, out=tmp)
         np.subtract(F, beta, out=F)
         np.maximum(F, tmp, out=F)
         np.maximum(Ht, F, out=Ht)
-        np.maximum(Ht, 0, out=Ht)
+        np.maximum(Ht, zero, out=Ht)
         if bands is not None:
             outside = np.abs(cols - i) > band_col
             np.copyto(Ht, 0, where=outside)
             np.copyto(F, NEG_INF, where=outside)
-        np.add(Ht, beta_k, out=T[:, 1:])
+        np.add(Ht, beta_k, out=T)
         np.maximum.accumulate(T, axis=1, out=T)
-        np.subtract(T[:, :-1], e_off, out=tmp)
-        np.maximum(Ht, tmp, out=H[:, 1:])
+        np.subtract(t_left, off_here, out=e_here)
+        np.maximum(Ht, tmp, out=H)
         if bands is not None:
-            np.copyto(H[:, 1:], 0, where=outside)
-        row_arg[i - 1] = H[:, 1:].argmax(axis=1)
-        row_max[i - 1] = H[pair, row_arg[i - 1] + 1]
+            np.copyto(H, 0, where=outside)
+        # H >= 0 with the 0 boundary in column 0, so a row whose
+        # maximum is positive has its first maximum at a real lane.
+        H.argmax(axis=1, out=row_arg[i - 1])
+        H.max(axis=1, out=row_max[i - 1])
 
     best = row_max.max(axis=0)
-    if bands is None:
-        # Among the rows reaching the best score, the smallest i + j
-        # (j = argmax + 1), then the smallest i.
-        rows = np.arange(1, M + 1, dtype=np.int64)[:, None]
-        key = np.where(row_max == best, (rows + row_arg) * (M + 1) + rows, np.iinfo(np.int64).max)
-        best_row = key.argmin(axis=0)
-    else:
-        best_row = row_max.argmax(axis=0)
-    best_col = row_arg[best_row, pair] + 1
+    rows = np.arange(1, R + 1, dtype=np.int64)[:, None]
+    i, j = (row_arg, rows) if swap else (rows, row_arg)
+    first, then = (i + j, i) if bands is None else (i, j)
+    key = np.where(row_max == best, first * (M + N + 1) + then, np.iinfo(np.int64).max)
+    best_row = key.argmin(axis=0)
+    best_lane = row_arg[best_row, pair]
+    ref_end, query_end = (best_lane, best_row + 1) if swap else (best_row + 1, best_lane)
     return [
-        AlignmentResult(score=int(s), ref_end=int(i + 1), query_end=int(j))
+        AlignmentResult(score=int(s), ref_end=int(i), query_end=int(j))
         if s > 0 else _EMPTY
-        for s, i, j in zip(best, best_row, best_col)
+        for s, i, j in zip(best, ref_end, query_end)
     ]
 
 
@@ -178,8 +230,9 @@ def sweep_length_groups(pairs, sweep, *, lanes, max_state_cells: int) -> list[Al
     whenever the next pair would more than double the group's smallest
     extent or push the padded state (``rows x (max lanes + 1)``) past
     *max_state_cells*.  ``lanes(ref, query)`` is one pair's state
-    width along the sweep's lane axis — the query length for the
-    batched row sweep, whose rows run along the query — and
+    width along the sweep's lane axis — ``max(len(ref), len(query))``
+    for the batched row sweep, whose lanes run along the longer of the
+    group's two maxima (the group's largest ``max(ref, query)``) — and
     ``sweep(indices, refs, queries)`` scores one group (*indices* are
     submission positions).
     The regrouping is deterministic and invisible in the results.
@@ -230,7 +283,8 @@ def batched_sw_align(
     bit-identical, endpoints included, to calling
     :func:`~repro.align.banded.banded_sw_align` per pair.  The batch
     is regrouped under *max_state_cells* by
-    :func:`sweep_length_groups` (lanes run along the query).
+    :func:`sweep_length_groups`; each group is swept along its shorter
+    axis, so its lanes run along the longer one.
     """
     scoring = scoring or ScoringScheme()
     if bands is not None:
@@ -245,7 +299,7 @@ def batched_sw_align(
         return _sweep_group(refs, queries, scoring, group_bands)
 
     return sweep_length_groups(
-        pairs, sweep, lanes=lambda r, q: q.size, max_state_cells=max_state_cells
+        pairs, sweep, lanes=lambda r, q: max(r.size, q.size), max_state_cells=max_state_cells
     )
 
 

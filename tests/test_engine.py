@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.align import ScoringScheme, sw_align
+from repro.align.banded import banded_sw_align
 from repro.align.matrix import AlignmentResult
 from repro.align.scoring import bwa_mem_scoring
 from repro.align.smith_waterman import sw_align_slow
@@ -48,6 +49,7 @@ def _periodic_pairs():
     return [
         (np.zeros(17, np.uint8), np.zeros(11, np.uint8)),  # all-A
         (ac, np.roll(ac, 1)[:19]),  # "AC"*k against a shifted copy
+        (ac, np.roll(ac, 1)),  # square: M == N
         (acg, np.delete(acg, 13)),  # 3-base repeat, one deletion
         (np.delete(acg, 4), acg[:20]),
     ]
@@ -110,7 +112,9 @@ class TestBatchedSweepProperties:
         """Scores bit-identical to the row-scan oracle; full results
         (endpoints included) bit-identical to sw_align, across ragged
         lengths, empty sides, N codes, tie-heavy periodic pairs, and
-        all scoring schemes."""
+        all scoring schemes.  Batched, groups are swept along their
+        shorter axis; with ``max_state_cells=1`` every pair and its
+        swapped copy is swept alone, in its own orientation."""
         scoring = SCHEMES[scheme_idx]
         rng = np.random.default_rng(1000 + scheme_idx)
         pairs = _random_pairs(rng, 30)
@@ -122,6 +126,27 @@ class TestBatchedSweepProperties:
         for (r, q), res in zip(pairs, got):
             assert res == sw_align(r, q, scoring)
             assert res.score == sw_align_slow(r, q, scoring).score
+        assert batched_sw_align(pairs, scoring, max_state_cells=1) == got
+
+    def test_int32_state_only_where_the_bound_allows(self):
+        """Scores past 2**31 take the int64 state; results equal the
+        oracles in both orientations either way."""
+        scoring = ScoringScheme(match=2**21, mismatch=-1, alpha=2, beta=1)
+        rng = np.random.default_rng(21)
+        seq = rng.integers(0, 4, 1200).astype(np.uint8)
+        small = rng.integers(0, 4, 100).astype(np.uint8)
+        pairs = [
+            (seq, seq.copy()),  # best score 1200 * 2**21 = 2,516,582,400
+            (seq, seq[:900]),  # 1200 x 900 prefix: 1,887,436,800
+            (small, small[:80]),  # small enough for int32
+        ]
+        pairs += [(q, r) for r, q in pairs]
+        assert sw_align(seq, seq, scoring).score == 2_516_582_400
+        got = batched_sw_align(pairs, scoring)
+        assert got == [sw_align(r, q, scoring) for r, q in pairs]
+        bands = [40, 350, 30] * 2
+        got = batched_sw_align(pairs, scoring, bands=bands)
+        assert got == [banded_sw_align(r, q, b, scoring) for (r, q), b in zip(pairs, bands)]
 
     def test_tiny_cell_budget_changes_nothing(self):
         """Forcing single-pair groups through the chunker is invisible."""

@@ -143,7 +143,8 @@ class TestSpecParsing:
         assert parse_engine_spec("banded:error_rate=0.1,band=auto") == (
             "banded", {"error_rate": 0.1, "band": None})
 
-    @pytest.mark.parametrize("bad", ["banded:", "banded:band", "banded:=3"])
+    @pytest.mark.parametrize(
+        "bad", ["banded:", "banded:band", "banded:=3", "banded:band=3,band=4"])
     def test_malformed_specs(self, bad):
         with pytest.raises(ValueError):
             parse_engine_spec(bad)
@@ -204,6 +205,7 @@ class TestVariantEngineFidelity:
         periodic = [  # tie-heavy: many cells share the best score
             (np.zeros(17, np.uint8), np.zeros(11, np.uint8)),
             (ac, np.roll(ac, 1)[:19]),
+            (ac, np.roll(ac, 1)),  # square: M == N
             (acg, np.delete(acg, 13)),
         ]
         pairs = (_random_pairs(rng, 10, hi=40) + _random_pairs(rng, 3, hi=200)
