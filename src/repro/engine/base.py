@@ -255,7 +255,8 @@ def parse_engine_spec(spec: str) -> tuple[str, dict[str, object]]:
     separate with commas.  Values parse as int, then float, with the
     literal strings ``none``/``auto`` meaning ``None`` (derive per
     job).  A bare name has no params.  Raises ``ValueError`` on a
-    malformed spec or a repeated key — the CLI maps that to the taxonomy exit code.
+    malformed spec or a repeated key — the CLI maps that to the
+    taxonomy exit code.
     """
     name, sep, tail = spec.partition(":")
     params: dict[str, object] = {}

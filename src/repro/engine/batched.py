@@ -25,10 +25,7 @@ Padding discipline:
   mask;
 * substitution scores come from a per-pair lane profile built once
   per group, so each row's scores are one gather;
-* the state is int32 when a per-group bound (from the scheme's
-  largest substitution score and gap penalties, ``NEG_INF`` and the
-  group's rows and lanes) proves no intermediate value can wrap, and
-  int64 otherwise — see :func:`_sweep_group`.
+* arithmetic is int64, so ``NEG_INF`` survives repeated gap extension.
 
 Scores *and* end coordinates are bit-identical to
 :func:`repro.align.antidiagonal.sw_align` (same first-maximum
@@ -77,8 +74,8 @@ def _sweep_group(
     :class:`ScoringScheme` builds a symmetric substitution matrix, and
     the recurrence is symmetric in ``i`` and ``j`` (E and F trade
     places).  Row ``r`` of every pair is computed at once from row
-    ``r - 1`` (``H``/``F`` from above), as contiguous
-    ``(batch, L + 1)`` arrays whose column 0 is the ``H = 0`` boundary:
+    ``r - 1`` (``H``/``F`` from above), as contiguous int64
+    ``(batch, L)`` arrays:
 
     * ``F = max(H_up - alpha, F_up - beta)``;
     * ``H~ = max(H_diag + S, F, 0)``;
@@ -91,19 +88,6 @@ def _sweep_group(
     starts from an E-derived ``H(k) = H(k') - alpha - beta*(k-1-k')``
     scores ``alpha - beta >= 0`` less than the arm that starts from
     ``H(k')`` directly, so it is always dominated — on either axis.
-
-    The state is int32 when this group's bound proves nothing wraps,
-    else int64.  With ``s+ = max(largest real substitution score, 0)``
-    and ``R <= L`` rows and lanes: ``0 <= H <= s+ * R``; the unfloored
-    ``H_diag + S`` is at most ``s+ * (R + 1)`` and at least the
-    smallest substitution score (the matrix is int32); the prefix-max
-    terms and the E offsets are at most ``s+ * R + alpha + beta * L``,
-    and ``tmp`` at least ``-alpha - beta * L``; ``F`` is at least
-    ``NEG_INF - beta``.  In column 0, ``H + NEG_INF`` and
-    ``T - max_int`` (``H, T >= 0``) stay in range too.  So
-    ``s+ * (R + 1) + alpha + beta * (L + 1) < 2**31 + NEG_INF`` and
-    ``NEG_INF - alpha - beta > -2**31`` suffice (with ``|NEG_INF|`` to
-    spare at the top).
 
     With *bands*, cells outside each pair's band ``|i - j| <= band``
     (symmetric, so the mask is the same in either orientation) are
@@ -133,72 +117,57 @@ def _sweep_group(
     swap = M > N
     row_seqs, lane_seqs = (queries, refs) if swap else (refs, queries)
     R, L = (N, M) if swap else (M, N)
-    s_pos = max(int(scoring.matrix[:PAD, :PAD].max()), 0)
-    alpha, beta = scoring.alpha, scoring.beta
-    fits = (s_pos * (R + 1) + alpha + beta * (L + 1) < 2**31 + NEG_INF
-            and NEG_INF - alpha - beta > -(2**31))
-    dt = np.int32 if fits else np.int64
     row_pad = np.full((R, B), PAD, dtype=np.intp)
-    lane_pad = np.full((B, L + 1), PAD, dtype=np.intp)
+    lane_pad = np.full((B, L), PAD, dtype=np.intp)
     for b, (r, l) in enumerate(zip(row_seqs, lane_seqs)):
         row_pad[: r.size, b] = r
-        lane_pad[b, 1 : l.size + 1] = l
-    # Lane profile, one line per (code, pair): prof[c * B + b, l] =
+        lane_pad[b, : l.size] = l
+    alpha = np.int64(scoring.alpha)
+    beta = np.int64(scoring.beta)
+    # Lane profile, one line per (code, pair): prof[c * B + b, l - 1] =
     # S(c, lane_b[l]), so row i's scores are the lines gather[i - 1].
-    # Padded codes (and column 0) score NEG_INF, so a padded cell only
-    # ever holds 0 or a value strictly below a real cell already swept,
-    # and it never feeds a real cell (the recurrence only looks up and
-    # left): ragged pairs need no mask.
-    prof = scoring.matrix.astype(dt)[:, lane_pad].reshape(-1, L + 1)
+    # Padded codes score NEG_INF, so a padded cell only ever holds 0 or
+    # a value strictly below a real cell already swept, and it never
+    # feeds a real cell (the recurrence only looks up and left): ragged
+    # pairs need no mask.
+    prof = scoring.matrix.astype(np.int64)[:, lane_pad].reshape(-1, L)
     pair = np.arange(B)
     gather = row_pad * B + pair
+    beta_k = beta * np.arange(1, L + 1, dtype=np.int64)  # beta*k, k = 1..L
+    e_off = alpha + beta * np.arange(L, dtype=np.int64)  # alpha + beta*(l-1)
 
-    # Every state array is (batch, L + 1), column 0 the H = 0 boundary,
-    # and every step runs over the whole array as one flat run.  The
-    # diagonal and E arms read "one lane to the left", which is one
-    # flat position back; at a boundary that reads the previous pair's
-    # last lane, and column 0's NEG_INF score and unreachable E offset
-    # keep the boundary at H~ = H = 0.
-    H = np.zeros((B, L + 1), dtype=dt)
-    F = np.full((B, L + 1), NEG_INF, dtype=dt)
-    S = np.empty((B, L + 1), dtype=dt)
-    Ht = np.zeros((B, L + 1), dtype=dt)
-    T = np.empty((B, L + 1), dtype=dt)  # H~(k) + beta*k
-    tmp = np.zeros((B, L + 1), dtype=dt)
-    col = np.arange(L + 1, dtype=dt)
-    beta_k = np.tile(beta * col, (B, 1))  # beta*k
-    e_off = np.tile(alpha + beta * (col - 1), (B, 1))  # alpha + beta*(l-1)
-    e_off[:, 0] = np.iinfo(dt).max
-    # Flat views, "left" (one position back) and "here".
-    h_left, s_here, ht_here = H.ravel()[:-1], S.ravel()[1:], Ht.ravel()[1:]
-    t_left, e_here, off_here = T.ravel()[:-1], tmp.ravel()[1:], e_off.ravel()[1:]
-    alpha, beta, zero = dt(alpha), dt(beta), dt(0)
-    row_max = np.empty((R, B), dtype=dt)
+    H = np.zeros((B, L + 1), dtype=np.int64)  # column 0: the H = 0 boundary
+    F = np.full((B, L), NEG_INF, dtype=np.int64)
+    S = np.empty((B, L), dtype=np.int64)
+    Ht = np.empty((B, L), dtype=np.int64)
+    T = np.zeros((B, L + 1), dtype=np.int64)  # H~(k) + beta*k, T[:, 0] = 0
+    tmp = np.empty((B, L), dtype=np.int64)
+    row_max = np.empty((R, B), dtype=np.int64)
     row_arg = np.empty((R, B), dtype=np.intp)
     if bands is not None:
         band_col = np.array(bands, dtype=np.int64)[:, None]
-        cols = np.arange(L + 1, dtype=np.int64)
+        cols = np.arange(1, L + 1, dtype=np.int64)
 
     for i in range(1, R + 1):
         np.take(prof, gather[i - 1], axis=0, out=S)
-        np.add(h_left, s_here, out=ht_here)
-        np.subtract(H, alpha, out=tmp)
+        np.add(H[:, :-1], S, out=Ht)
+        np.subtract(H[:, 1:], alpha, out=tmp)
         np.subtract(F, beta, out=F)
         np.maximum(F, tmp, out=F)
         np.maximum(Ht, F, out=Ht)
-        np.maximum(Ht, zero, out=Ht)
+        np.maximum(Ht, 0, out=Ht)
         if bands is not None:
             outside = np.abs(cols - i) > band_col
             np.copyto(Ht, 0, where=outside)
             np.copyto(F, NEG_INF, where=outside)
-        np.add(Ht, beta_k, out=T)
+        np.add(Ht, beta_k, out=T[:, 1:])
         np.maximum.accumulate(T, axis=1, out=T)
-        np.subtract(t_left, off_here, out=e_here)
-        np.maximum(Ht, tmp, out=H)
+        np.subtract(T[:, :-1], e_off, out=tmp)
+        np.maximum(Ht, tmp, out=H[:, 1:])
         if bands is not None:
-            np.copyto(H, 0, where=outside)
-        # H >= 0 with the 0 boundary in column 0, so a row whose
-        # maximum is positive has its first maximum at a real lane.
+            np.copyto(H[:, 1:], 0, where=outside)
+        # Column 0 stays 0, so a row whose maximum is positive has its
+        # first maximum at a real lane.
         H.argmax(axis=1, out=row_arg[i - 1])
         H.max(axis=1, out=row_max[i - 1])
 

@@ -128,23 +128,29 @@ class TestBatchedSweepProperties:
             assert res.score == sw_align_slow(r, q, scoring).score
         assert batched_sw_align(pairs, scoring, max_state_cells=1) == got
 
-    def test_int32_state_only_where_the_bound_allows(self):
-        """Scores past 2**31 take the int64 state; results equal the
-        oracles in both orientations either way."""
+    def test_scores_past_int32_and_neighbouring_pairs_stay_exact(self):
+        """Scores past 2**31 (and past ``-NEG_INF``) equal the oracles in
+        both orientations, and a pair that sorts right after a
+        high-scoring one in the same group never sees that pair's
+        state."""
         scoring = ScoringScheme(match=2**21, mismatch=-1, alpha=2, beta=1)
         rng = np.random.default_rng(21)
         seq = rng.integers(0, 4, 1200).astype(np.uint8)
         small = rng.integers(0, 4, 100).astype(np.uint8)
+        mid = rng.integers(0, 4, 200).astype(np.uint8)
         pairs = [
             (seq, seq.copy()),  # best score 1200 * 2**21 = 2,516,582,400
+            (np.zeros(1200, np.uint8), np.ones(1200, np.uint8)),  # score 0
             (seq, seq[:900]),  # 1200 x 900 prefix: 1,887,436,800
-            (small, small[:80]),  # small enough for int32
+            (small, small[:80]),
+            (mid, mid.copy()),  # below 2**31, past -NEG_INF: 419,430,400
+            (np.zeros(200, np.uint8), np.ones(200, np.uint8)),  # score 0
         ]
         pairs += [(q, r) for r, q in pairs]
         assert sw_align(seq, seq, scoring).score == 2_516_582_400
         got = batched_sw_align(pairs, scoring)
         assert got == [sw_align(r, q, scoring) for r, q in pairs]
-        bands = [40, 350, 30] * 2
+        bands = [40, 30, 350, 30, 20, 60] * 2
         got = batched_sw_align(pairs, scoring, bands=bands)
         assert got == [banded_sw_align(r, q, b, scoring) for (r, q), b in zip(pairs, bands)]
 
