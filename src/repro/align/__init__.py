@@ -14,7 +14,7 @@ from .semiglobal import SemiglobalResult, semiglobal_align
 from .smith_waterman import sw_align_slow, sw_score, sw_traceback
 from .striped import striped_sw_score
 from .traceback import Cigar, Traceback, align_with_traceback, traceback
-from .xdrop import XDropResult, xdrop_extend
+from .xdrop import XDropResult, xdrop_extend, xdrop_extend_batch
 
 __all__ = [
     "ScoringScheme", "bwa_mem_scoring", "PAD", "NEG_INF",
@@ -26,7 +26,7 @@ __all__ = [
     "grid_sweep", "JobGeometry", "job_geometry", "parallel_grid_sweep",
     "pruned_grid_sweep", "PrunedSweepResult",
     "Cigar", "Traceback", "traceback", "align_with_traceback",
-    "striped_sw_score", "xdrop_extend", "XDropResult",
+    "striped_sw_score", "xdrop_extend", "xdrop_extend_batch", "XDropResult",
     "semiglobal_align", "SemiglobalResult",
     "traceback_batch", "traceback_one",
 ]

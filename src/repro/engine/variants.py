@@ -4,8 +4,9 @@ The banded, x-drop, semiglobal, NW, and pruning scorers are
 :class:`~repro.engine.base.ExecutionEngine` backends with capability
 descriptors, so serve, cluster, pipeline, CLI, and the QoS degradation
 ladder select them through the registry like any exact engine.
-``banded`` is a configuration of the batched row sweep; the
-other four still loop over their per-pair :mod:`repro.align` function
+``banded`` is a configuration of the batched row sweep and ``xdrop``
+scores each call with one anti-diagonal sweep over all its pairs; the
+other three still loop over their per-pair :mod:`repro.align` function
 inside ``score_batch``:
 
 ``banded``
@@ -17,9 +18,12 @@ inside ``score_batch``:
     :func:`repro.align.banded.banded_sw_align`.
 ``xdrop``
     Anchored X-drop seed extension (``bound_params=("x",)``), the
-    semantics of BWA-MEM's ``ksw_extend``; per-pair wrapper over
-    :func:`repro.align.xdrop.xdrop_extend` with the score floored at
-    0 exactly as the QoS ladder has always reported it.
+    semantics of BWA-MEM's ``ksw_extend``.  Each call is one
+    :func:`repro.align.xdrop.xdrop_extend_batch` sweep over all its
+    pairs (LOGAN-style batching; each pair keeps its own live window
+    and freeze point), with the score floored at 0 exactly as the QoS
+    ladder has always reported it.  Results equal per-pair
+    :func:`repro.align.xdrop.xdrop_extend`, the oracle.
 ``semiglobal``
     Whole-query / free-reference-ends alignment (exact, endpoint
     semantics ``"semiglobal"``); scores can be negative.
@@ -41,13 +45,15 @@ tie-break caveat applies, as for ``batched``/``striped``).
 
 from __future__ import annotations
 
+import numbers
+
 from ..align.antidiagonal import nw_score
 from ..align.banded import band_for_error_rate
 from ..align.matrix import AlignmentResult
 from ..align.pruning import pruned_grid_sweep
 from ..align.scoring import ScoringScheme
 from ..align.semiglobal import semiglobal_align
-from ..align.xdrop import xdrop_extend
+from ..align.xdrop import xdrop_extend_batch
 from .base import EngineCapabilities, ExecutionEngine, register_engine
 from .batched import batched_sw_align
 
@@ -60,10 +66,19 @@ __all__ = [
 ]
 
 
+def _is_count(value) -> bool:
+    """A non-negative integer, ``bool`` excluded: a bound parameter
+    keys tiers and the result cache, so ``2.5`` or ``True`` must not
+    pass for a band or an x-drop."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= 0)
+
+
 @register_engine
 class BandedEngine(ExecutionEngine):
     """Batched band-restricted local SW.  See module docstring.
 
+    ``band`` is ``None`` or a non-negative integer.
     ``band=None`` (the default) derives each job's band from its
     longer sequence via
     :func:`~repro.align.banded.band_for_error_rate` at *error_rate* —
@@ -81,8 +96,8 @@ class BandedEngine(ExecutionEngine):
 
     def __init__(self, band: int | None = None, *, error_rate: float = 0.05,
                  max_state_cells: int = 1 << 22):
-        if band is not None and band < 0:
-            raise ValueError("band must be non-negative")
+        if band is not None and not _is_count(band):
+            raise ValueError(f"band must be None or a non-negative integer, got {band!r}")
         if not 0.0 < error_rate < 1.0:
             raise ValueError("error_rate must be in (0, 1)")
         if max_state_cells < 1:
@@ -121,14 +136,17 @@ class BandedEngine(ExecutionEngine):
 
 @register_engine
 class XDropEngine(ExecutionEngine):
-    """Anchored X-drop extension (per-pair).  See module docstring.
+    """Anchored X-drop extension: one anti-diagonal sweep over all the
+    pairs of a call (:func:`~repro.align.xdrop.xdrop_extend_batch`).
+    See module docstring.
 
-    The anchored score is floored at 0 in the returned
-    :class:`AlignmentResult` (the empty extension always being
-    available), matching how the QoS ladder has always reported the
-    x-drop tier; the raw :class:`~repro.align.xdrop.XDropResult` —
-    drop flag, cells computed — remains available from
-    :func:`~repro.align.xdrop.xdrop_extend` directly.
+    ``x`` is a non-negative integer or ``float("inf")``.  The anchored
+    score is floored at 0 in the returned :class:`AlignmentResult`
+    (the empty extension always being available), matching how the
+    QoS ladder has always reported the x-drop tier; the raw
+    :class:`~repro.align.xdrop.XDropResult` — drop flag, cells
+    computed — remains available from the ``repro.align.xdrop``
+    functions directly.
     """
 
     name = "xdrop"
@@ -138,22 +156,23 @@ class XDropEngine(ExecutionEngine):
     )
 
     def __init__(self, x: int = 50):
-        if x < 0:
-            raise ValueError("x-drop threshold must be non-negative")
+        if not (_is_count(x) or x == float("inf")):
+            raise ValueError(
+                f"x-drop threshold must be a non-negative integer or inf, got {x!r}")
         self.x = x
 
     def score_batch(
         self, jobs, scoring: ScoringScheme, *, config=None
     ) -> list[AlignmentResult]:
-        out = []
-        for j in jobs:
-            res = xdrop_extend(j.ref, j.query, self.x, scoring)
-            out.append(AlignmentResult(
+        return [
+            AlignmentResult(
                 score=max(res.score, 0),
                 ref_end=res.ref_end,
                 query_end=res.query_end,
-            ))
-        return out
+            )
+            for res in xdrop_extend_batch(
+                [(j.ref, j.query) for j in jobs], self.x, scoring)
+        ]
 
 
 @register_engine

@@ -147,8 +147,11 @@ class QoSPolicy:
             raise ValueError(f"unknown default class {self.default_class!r}")
         if not 0.0 < self.banded_error_rate < 1.0:
             raise ValueError("banded_error_rate must be in (0, 1)")
-        if self.xdrop_x < 0:
-            raise ValueError("xdrop_x must be non-negative")
+        # The x-drop tier's engine owns the rule for x; checking it here
+        # fails a bad policy when it is built, not when it first degrades.
+        from ..engine.variants import XDropEngine
+
+        XDropEngine(x=self.xdrop_x)
 
     def tenant(self, name: str) -> TenantPolicy:
         """The policy for *name*, synthesizing the default if unknown."""

@@ -198,8 +198,11 @@ class TestServiceQoS:
     def test_single_tenant_no_overload_bit_identical(self):
         jobs = mixed_stream(60, b_fraction=0.2, duplicate_fraction=0.25,
                             seed=3, b_max_length=900)
-        plain = AlignmentService(compute_scores=True)
-        qos = AlignmentService(compute_scores=True, qos=single_tenant_policy())
+        # One engine on both sides; batched keeps the per-pair reference
+        # dataflow out of an identity check about QoS.
+        plain = AlignmentService(compute_scores=True, engine="batched")
+        qos = AlignmentService(compute_scores=True, qos=single_tenant_policy(),
+                               engine="batched")
         hp = plain.submit_jobs(jobs)
         hq = qos.submit_jobs(jobs)
         plain.flush()
@@ -414,6 +417,8 @@ class TestDegradedServePath:
 
         from repro.align import ScoringScheme
         from repro.align.banded import band_for_error_rate
+        from repro.align.matrix import AlignmentResult
+        from repro.align.xdrop import xdrop_extend
         from repro.obs import chrome_trace_json
         from repro.qos.tiers import tier_engine
 
@@ -440,14 +445,19 @@ class TestDegradedServePath:
                     assert h.tier_params == {}
                     continue
                 degraded_ok += 1
-                engine = tier_engine(tier, error_rate=policy.banded_error_rate,
-                                     xdrop_x=policy.xdrop_x)
-                assert h.result() == engine.score_batch([job], ScoringScheme())[0]
                 if tier == "banded":
+                    engine = tier_engine(tier, error_rate=policy.banded_error_rate,
+                                         xdrop_x=policy.xdrop_x)
+                    assert h.result() == engine.score_batch([job], ScoringScheme())[0]
                     band = band_for_error_rate(
                         max(job.ref_len, job.query_len), policy.banded_error_rate)
                     assert h.tier_params == {"band": band}
                 else:
+                    # The per-pair oracle, not the batched engine that
+                    # scored the handle's micro-batch.
+                    e = xdrop_extend(job.ref, job.query, policy.xdrop_x)
+                    assert h.result() == AlignmentResult(
+                        score=max(e.score, 0), ref_end=e.ref_end, query_end=e.query_end)
                     assert h.tier_params == {"x": policy.xdrop_x}
             assert degraded_ok and degraded_failed
             payload.append({

@@ -24,7 +24,12 @@ from repro.align.pruning import pruned_grid_sweep
 from repro.align.scoring import NEG_INF
 from repro.align.semiglobal import semiglobal_align, semiglobal_score_slow
 from repro.align.smith_waterman import sw_align_slow
-from repro.align.xdrop import anchored_best_slow, xdrop_extend
+from repro.align.xdrop import (
+    XDropResult,
+    anchored_best_slow,
+    xdrop_extend,
+    xdrop_extend_batch,
+)
 from repro.baselines import make_jobs
 from repro.baselines.base import ExtensionJob
 from repro.cli import main
@@ -62,6 +67,27 @@ codes = st.lists(st.integers(0, 4), min_size=0, max_size=40).map(
 )
 
 
+
+def _related(r, subs, cut):
+    q = r.copy()
+    for pos, code in subs:
+        if q.size:
+            q[pos % q.size] = code
+    return r, q[: cut % (q.size + 1)]
+
+
+#: A sequence and a copy with a few substitutions, cut short.
+related_codes = st.builds(
+    _related, codes,
+    st.lists(st.tuples(st.integers(0, 39), st.integers(0, 4)), max_size=4),
+    st.integers(0, 40),
+)
+
+schemes = st.integers(1, 8).flatmap(lambda alpha: st.builds(
+    ScoringScheme, match=st.integers(1, 3), mismatch=st.integers(-5, -1),
+    alpha=st.just(alpha), beta=st.integers(1, alpha)))
+
+
 def _random_pairs(rng, n, hi=60):
     return [
         (rng.integers(0, 5, int(rng.integers(0, hi))).astype(np.uint8),
@@ -72,6 +98,27 @@ def _random_pairs(rng, n, hi=60):
 
 def _jobs(pairs):
     return [ExtensionJob(ref=r, query=q) for r, q in pairs]
+
+
+#: The default scheme and one whose gap extension costs as much as the
+#: opening (``beta == alpha``).
+XDROP_SCHEMES = (SCORING, ScoringScheme(match=2, mismatch=-3, alpha=4, beta=4))
+
+
+def _xdrop_x_values(scoring):
+    return (0, scoring.alpha - 1, 50, 10**9, float("inf"))
+
+
+def _xdrop_mixed_pairs(rng):
+    """Random pairs, empty-side pairs, and one identical 300 bp pair
+    that keeps the batched x-drop sweep going long after the random
+    pairs have dropped."""
+    same = rng.integers(0, 4, 300).astype(np.uint8)
+    empty = np.empty(0, np.uint8)
+    pairs = _random_pairs(rng, 12)
+    pairs[3:3] = [(same, same.copy()), (empty, same[:20]), (same[:20], empty),
+                  (empty, empty)]
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +211,11 @@ class TestSpecParsing:
             resolve_engine("banded", band=-1)
         with pytest.raises(ValueError):
             resolve_engine(BandedEngine(), band=3)  # params on an instance
+        for spec in ("xdrop:x=1.5", "banded:band=1e3", "banded:band=2.5",
+                     "xdrop:x=-inf", "xdrop:x=nan", "xdrop:x=seven"):
+            with pytest.raises(ValueError):
+                resolve_engine(spec)
+        assert resolve_engine("xdrop:x=inf").x == float("inf")
 
     def test_engine_constructor_validation(self):
         with pytest.raises(ValueError):
@@ -172,6 +224,23 @@ class TestSpecParsing:
             BandedEngine(max_state_cells=0)
         with pytest.raises(ValueError):
             XDropEngine(x=-1)
+        # Bounds key tiers and the result cache, so only integral values
+        # (and an unbounded x-drop) are accepted; bool is not a count.
+        for bad in (2.5, 1000.0, True, "16", -1):
+            with pytest.raises(ValueError):
+                BandedEngine(band=bad)
+        for bad in (1.5, 7.0, True, False, "7", float("nan"), -float("inf")):
+            with pytest.raises(ValueError):
+                XDropEngine(x=bad)
+        assert BandedEngine(band=np.int64(16)).band == 16
+        assert BandedEngine(band=0).band == 0 and XDropEngine(x=0).x == 0
+        assert XDropEngine(x=float("inf")).x == float("inf")
+        # A QoS policy's x-drop tier takes the same values, checked when
+        # the policy is built rather than when it first degrades.
+        for bad in (1.5, True, -1):
+            with pytest.raises(ValueError):
+                QoSPolicy(xdrop_x=bad)
+        assert QoSPolicy(xdrop_x=float("inf")).xdrop_x == float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +295,76 @@ class TestVariantEngineFidelity:
             batched_sw_align([(np.zeros(3, np.uint8),) * 2], bands=[-1])
 
     def test_xdrop_engine_matches_xdrop_extend(self, rng):
-        jobs = _jobs(_random_pairs(rng, 20))
-        for x in (0, 5, 50):
-            got = XDropEngine(x=x).score_batch(jobs, SCORING)
-            for j, res in zip(jobs, got):
-                e = xdrop_extend(j.ref, j.query, x, SCORING)
-                assert res == AlignmentResult(
-                    score=max(e.score, 0), ref_end=e.ref_end, query_end=e.query_end)
+        jobs = _jobs(_xdrop_mixed_pairs(rng) + _random_pairs(rng, 8))
+        for scoring in XDROP_SCHEMES:
+            for x in _xdrop_x_values(scoring) + (5,):
+                engine = XDropEngine(x=x)
+                got = engine.score_batch(jobs, scoring)
+                assert got == [engine.score_batch([j], scoring)[0] for j in jobs]
+                for j, res in zip(jobs, got):
+                    e = xdrop_extend(j.ref, j.query, x, scoring)
+                    assert res == AlignmentResult(
+                        score=max(e.score, 0), ref_end=e.ref_end, query_end=e.query_end)
+
+    def test_xdrop_extend_batch_matches_per_pair(self, rng):
+        """The one-sweep batch reproduces the per-pair oracle in full:
+        score, endpoints, ``dropped`` and ``cells_computed``, for the
+        pairs scored all together and one at a time."""
+        pairs = _xdrop_mixed_pairs(rng)
+        for scoring in XDROP_SCHEMES:
+            for x in _xdrop_x_values(scoring):
+                expect = [xdrop_extend(r, q, x, scoring) for r, q in pairs]
+                assert xdrop_extend_batch(pairs, x, scoring) == expect
+                assert [xdrop_extend_batch([p], x, scoring)[0] for p in pairs] == expect
+                assert xdrop_extend_batch(pairs[::-1], x, scoring) == expect[::-1]
+        # At x = 50 the identical pair runs to its last diagonal while
+        # random pairs drop, so the batch really mixes the two.
+        res = xdrop_extend_batch(pairs, 50, SCORING)
+        assert not res[3].dropped and res[3].score == 300
+        assert any(r.dropped for r in res)
+        assert res[4:7] == [XDropResult(0, 0, 0, False, 0)] * 3
+        assert xdrop_extend_batch([], 50, SCORING) == []
+        with pytest.raises(ValueError):
+            xdrop_extend_batch(pairs, -1, SCORING)
+
+    #: (scheme, ref, query, x) cases that reach the sweep's rarer rules.
+    XDROP_RARE = [
+        # A long reference against a short query: diagonals where only
+        # the (d, 0) boundary cell lives and every window is empty.
+        (ScoringScheme(match=3, mismatch=-5, alpha=4, beta=1),
+         [1, 0, 1, 0, 0, 3, 0, 0, 3, 1], [2, 3], 10),
+        (ScoringScheme(match=2, mismatch=-5, alpha=5, beta=1),
+         [1], [3, 2, 2, 2, 2, 2, 1, 0], 10),
+        # Boundary cells tested against the best updated on the same
+        # diagonal.
+        (ScoringScheme(match=3, mismatch=-4, alpha=1, beta=1),
+         [2, 3, 2], [3, 3, 3, 3, 1, 2], 3),
+        (ScoringScheme(match=2, mismatch=-1, alpha=1, beta=1),
+         [3, 3, 0, 2, 1, 3], [1, 3, 0, 2, 1, 3], 3),
+        # A later cell that only ties the best does not move the end.
+        (ScoringScheme(match=3, mismatch=-1, alpha=3, beta=2), [0], [1, 0], 5),
+    ]
+
+    def test_xdrop_extend_batch_rare_rules(self):
+        for scoring, r, q, x in self.XDROP_RARE:
+            r, q = np.array(r, np.uint8), np.array(q, np.uint8)
+            pairs = [(r, q), (q, r), (r, r), (q, q)]
+            expect = [xdrop_extend(a, b, x, scoring) for a, b in pairs]
+            assert xdrop_extend_batch(pairs, x, scoring) == expect
+            assert [xdrop_extend_batch([p], x, scoring)[0] for p in pairs] == expect
+
+    @settings(max_examples=150, deadline=None)
+    @given(pairs=st.lists(st.one_of(st.tuples(codes, codes), related_codes),
+                          min_size=1, max_size=6),
+           x=st.sampled_from((0, 1, 2, 3, 5, 10, 30, 10**9, float("inf"))),
+           scoring=schemes)
+    def test_xdrop_extend_batch_property(self, pairs, x, scoring):
+        """Random schemes and near-identical pairs reach the rare rules:
+        ties with the running best, boundary cells that live only
+        against the pre-update best, and diagonals where a pair keeps
+        only a boundary cell."""
+        assert xdrop_extend_batch(pairs, x, scoring) == [
+            xdrop_extend(r, q, x, scoring) for r, q in pairs]
 
     def test_semiglobal_engine_matches_reference(self, rng):
         jobs = _jobs(_random_pairs(rng, 20))
