@@ -59,7 +59,7 @@ from .align import ScoringScheme, align_with_traceback, sw_align
 from .baselines import all_baselines, make_jobs
 from .bench.experiments import EXPERIMENTS, run_experiment
 from .core import SUBWARP_SIZES, SalobaConfig, SalobaKernel
-from .engine import AUTO_ENGINE, resolve_engine
+from .engine import resolve_engine
 from .gpusim import known_devices
 from .resilience import AlignmentError, FaultPlan
 from .seqs import read_fasta, read_fastq
@@ -160,9 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--engine", default="reference",
                        help="scoring backend for the service run (any "
                             "registered name, optionally with bound params "
-                            "like 'banded:band=16'), or 'auto' to let each "
-                            "length bin race the exact local engines "
-                            "(see repro.engine)")
+                            "like 'banded:band=16'; see repro.engine)")
     p_srv.add_argument("--out", default=None, help="write the JSON result here")
     p_srv.add_argument("--trace", default=None, metavar="FILE",
                        help="also export a Chrome trace of the service run")
@@ -228,9 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cl.add_argument("--engine", default="reference",
                       help="scoring backend on every worker (any registered "
                            "name, optionally with bound params like "
-                           "'banded:band=16'), or 'auto' for per-bin "
-                           "adaptive selection on each worker "
-                           "(see repro.engine)")
+                           "'banded:band=16'; see repro.engine)")
     p_cl.add_argument("--scored-pairs", type=int, default=24,
                       help="scored fidelity-check workload size (0 skips it)")
     p_cl.add_argument("--out", default=None, metavar="FILE",
@@ -282,15 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _engine_arg(spec: str) -> str:
     """Validate an ``--engine`` value against the registry.
 
-    ``"auto"`` passes through (the serve/cluster layers understand
-    it); anything else must resolve — including any ``:key=value``
-    bound parameters — or the command fails with the taxonomy exit
-    code 2 (an :class:`AlignmentError`), never a traceback.
-    Validation happens here instead of an argparse ``choices`` list so
+    The spec must resolve — including any ``:key=value`` bound
+    parameters — or the command fails with the taxonomy exit code 2
+    (an :class:`AlignmentError`), never a traceback.  Validation
+    happens here instead of an argparse ``choices`` list so
     parameterized specs like ``banded:band=16`` stay expressible.
     """
-    if spec == AUTO_ENGINE:
-        return spec
     try:
         resolve_engine(spec)
     except (TypeError, ValueError) as exc:

@@ -35,7 +35,7 @@ from ..baselines.base import ExtensionJob
 from ..core.config import SalobaConfig
 from ..core.batching import BatchRunner
 from ..core.kernel import SalobaKernel
-from ..engine import AUTO_ENGINE, ExecutionEngine, resolve_engine
+from ..engine import resolve_engine
 from ..gpusim.device import GTX1650, DeviceProfile
 from ..serve.bench import mixed_stream
 from .cluster import AlignmentCluster
@@ -114,7 +114,7 @@ def _fidelity_check(
     What "fidelity" means is read off the engine's capability
     descriptor, mirroring :func:`repro.serve.bench._fidelity_check`:
 
-    * **exact local** engines (``auto`` and ``None`` included) must
+    * **exact local** engines (``None`` included) must
       produce bit-identical *scores* to the single-device reference
       path — the optimal endpoint can legitimately differ when
       several cells tie at the maximum, because each worker's
@@ -138,9 +138,7 @@ def _fidelity_check(
         for _ in range(max(n // 2, 1))
     ]
     jobs = unique + [unique[int(i)] for i in rng.integers(0, len(unique), n - len(unique))]
-    eng = None
-    if engine is not None and engine != AUTO_ENGINE:
-        eng = engine if isinstance(engine, ExecutionEngine) else resolve_engine(engine)
+    eng = None if engine is None else resolve_engine(engine)
     if eng is not None and not (
         eng.capabilities.exactness == "exact"
         and eng.capabilities.endpoints == "local"

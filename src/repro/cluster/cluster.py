@@ -95,9 +95,7 @@ class AlignmentCluster:
     engine:
         Cluster-wide default exact-scoring backend (see
         :mod:`repro.engine`); any worker whose spec sets its own
-        ``engine`` overrides it, and ``"auto"``
-        (:data:`~repro.engine.AUTO_ENGINE`) gives the worker per-bin
-        adaptive selection.  Scores and the modeled schedule are
+        ``engine`` overrides it.  Scores and the modeled schedule are
         engine-independent, so heterogeneous-engine clusters stay
         bit-identical to homogeneous ones.
     qos:

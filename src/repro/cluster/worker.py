@@ -74,10 +74,8 @@ class WorkerSpec:
     engine:
         Per-worker scoring backend: any registered :mod:`repro.engine`
         name — optionally with bound parameters, ``"banded:band=16"``
-        — an :class:`~repro.engine.ExecutionEngine` instance, or
-        :data:`~repro.engine.AUTO_ENGINE` (``"auto"``) for per-bin
-        adaptive selection over the exact local engines on this
-        worker.  ``None`` defers to the cluster-wide default
+        — or an :class:`~repro.engine.ExecutionEngine` instance.
+        ``None`` defers to the cluster-wide default
         (:class:`~repro.cluster.cluster.AlignmentCluster`'s ``engine``
         argument).  Heterogeneous clusters may mix engines freely:
         with exact engines, scores and the modeled schedule are

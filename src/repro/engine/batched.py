@@ -42,8 +42,8 @@ Very large or very ragged batches are split into length-coherent
 sub-batches under a cell budget (``max_state_cells``) so short pairs
 never pay for a long pair's padding and state arrays stay
 cache-resident instead of thrashing; the split
-(:func:`sweep_length_groups`, shared with the ``striped`` engine) is
-deterministic (stable extent sort) and invisible in the results.
+(:func:`sweep_length_groups`) is deterministic (stable extent sort)
+and invisible in the results.
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ def _sweep_group(
     ]
 
 
-def sweep_length_groups(pairs, sweep, *, lanes, max_state_cells: int) -> list[AlignmentResult]:
+def sweep_length_groups(pairs, sweep, *, max_state_cells: int) -> list[AlignmentResult]:
     """Results for ``(ref, query)`` code *pairs*, swept group by group.
 
     Pairs with an empty side short-circuit to the empty alignment.
@@ -198,12 +198,10 @@ def sweep_length_groups(pairs, sweep, *, lanes, max_state_cells: int) -> list[Al
     matrix extent (stable, index tie-break) and a group is cut
     whenever the next pair would more than double the group's smallest
     extent or push the padded state (``rows x (max lanes + 1)``) past
-    *max_state_cells*.  ``lanes(ref, query)`` is one pair's state
-    width along the sweep's lane axis — ``max(len(ref), len(query))``
-    for the batched row sweep, whose lanes run along the longer of the
-    group's two maxima (the group's largest ``max(ref, query)``) — and
-    ``sweep(indices, refs, queries)`` scores one group (*indices* are
-    submission positions).
+    *max_state_cells*.  A pair's lane width is
+    ``max(len(ref), len(query))``: the row sweep's lanes run along the
+    longer of the group's two maxima.  ``sweep(indices, refs,
+    queries)`` scores one group (*indices* are submission positions).
     The regrouping is deterministic and invisible in the results.
     """
     results: list[AlignmentResult | None] = [None] * len(pairs)
@@ -224,14 +222,15 @@ def sweep_length_groups(pairs, sweep, *, lanes, max_state_cells: int) -> list[Al
 
     start = width = 0
     for k, (_, r, q) in enumerate(items):
-        new_width = max(width, lanes(r, q))
+        lanes = max(r.size, q.size)
+        new_width = max(width, lanes)
         _, r0, q0 = items[start]
         if k > start and (
             r.size + q.size > 2 * (r0.size + q0.size)
             or (k - start + 1) * (new_width + 1) > max_state_cells
         ):
             flush(items[start:k])
-            start, new_width = k, lanes(r, q)
+            start, new_width = k, lanes
         width = new_width
     if items:
         flush(items[start:])
@@ -267,9 +266,7 @@ def batched_sw_align(
         group_bands = None if bands is None else [bands[i] for i in idx]
         return _sweep_group(refs, queries, scoring, group_bands)
 
-    return sweep_length_groups(
-        pairs, sweep, lanes=lambda r, q: max(r.size, q.size), max_state_cells=max_state_cells
-    )
+    return sweep_length_groups(pairs, sweep, max_state_cells=max_state_cells)
 
 
 @register_engine

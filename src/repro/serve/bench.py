@@ -182,8 +182,7 @@ def _fidelity_check(
     * other **exact local** engines guarantee bit-identical *scores*
       while equal-scoring cells may end at a different coordinate (the
       library-wide tie-break caveat), so the comparison drops to
-      scores only — the adaptive (``auto``) service is held to the
-      same bar since it only ever races exact local engines;
+      scores only;
     * **bounded or alternative-endpoint** engines (banded, x-drop,
       semiglobal, NW) compute a different quantity than the reference
       oracle, so the gate instead demands the service round-trip be

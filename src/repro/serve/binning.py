@@ -20,38 +20,22 @@ so per-call overheads stay amortized.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
 
 from ..baselines.base import ExtensionJob
 from ..core.batching import BatchRunner
 from ..core.config import SUBWARP_SIZES, SalobaConfig
 from ..core.kernel import SalobaKernel
-from ..engine.base import AUTO_ENGINE, find_engines, resolve_engine
 from ..gpusim.device import DeviceProfile
 from ..obs.tracer import NULL_TRACER
 from ..resilience.errors import AlignmentError, CapacityExceeded
 from ..resilience.faults import FaultPlan
 
-__all__ = ["DEFAULT_BIN_EDGES", "LengthBinner", "BinTuner", "race_candidates"]
+__all__ = ["DEFAULT_BIN_EDGES", "LengthBinner", "BinTuner"]
 
 #: Geometric upper edges (bp); jobs longer than the last edge share a
 #: tail bin.  Chosen to straddle the paper's Fig. 6 length sweep.
 DEFAULT_BIN_EDGES = (128, 256, 512, 1024, 2048, 4096)
-
-
-def race_candidates() -> tuple[str, ...]:
-    """Engine names eligible for the per-bin auto-race, sorted.
-
-    The serve path's exact contract: engines that are bit-identical on
-    scores to the full-table local affine optimum.  Queried from the
-    registry by capability, not hard-coded — a newly registered exact
-    local backend joins the race automatically, while bounded or
-    alternative-endpoint backends (banded, x-drop, semiglobal, NW)
-    are excluded because their *results* differ and a wall-clock race
-    must never change scores.
-    """
-    return find_engines(exactness="exact", gap_model="affine", endpoints="local")
 
 
 class LengthBinner:
@@ -93,15 +77,6 @@ class BinTuner:
     and the bin keeps the winning kernel for the rest of the service's
     life.  ``fixed_subwarp`` in the constructor disables tuning (used
     by the benchmark's "no binning benefit" ablation).
-
-    With ``engine=AUTO_ENGINE`` (``"auto"``) the same first-traffic
-    pass additionally races every registered execution engine on the
-    bin's sample — a real wall-clock measurement, since engines differ
-    *only* in host speed — and pins the winner per bin (the Fig. 8c
-    machinery applied to backend choice).  The
-    modeled clock, metrics, and trace timings stay engine-independent
-    by construction; only ``bin.tune`` spans gain the (machine-
-    dependent) selection attributes, and only in auto mode.
     """
 
     def __init__(
@@ -115,7 +90,6 @@ class BinTuner:
         autotune: bool = True,
         tracer=None,
         engine=None,
-        engine_sample_cap: int = 64,
     ):
         self.scoring = scoring
         self.config = config
@@ -126,31 +100,18 @@ class BinTuner:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Exact-scoring backend shared by every bin kernel (see
         #: :mod:`repro.engine`); model-only tuning probes never run it.
-        #: ``AUTO_ENGINE`` switches to per-bin adaptive selection, in
-        #: which case :attr:`engine` stays None and each bin's choice
-        #: lands in :attr:`chosen_engines`.
-        self.adaptive_engine = isinstance(engine, str) and engine == AUTO_ENGINE
-        self.engine = None if self.adaptive_engine else engine
-        #: Jobs in the engine race's final heat.  Engine ranking is
-        #: batch-size-dependent, so the final must run near the batch
-        #: size the bin will actually serve; the cap bounds the (real,
-        #: wall-clock) probe cost.  See :meth:`_race_engines`.
-        self.engine_sample_cap = engine_sample_cap
+        self.engine = engine
         self._kernels: dict[int, SalobaKernel] = {}
         self.chosen_subwarps: dict[int, int] = {}
-        #: Engine actually used per bin (adaptive winner, or the fixed
-        #: engine's registry name).
+        #: The engine's registry name per tuned bin.
         self.chosen_engines: dict[int, str] = {}
-        #: Adaptive mode only: per-bin wall-clock probe milliseconds
-        #: per engine name (benchmark reporting; machine-dependent).
-        self.engine_probe_ms: dict[int, dict[str, float]] = {}
 
-    def _make_kernel(self, subwarp_size: int, engine=None) -> SalobaKernel:
+    def _make_kernel(self, subwarp_size: int) -> SalobaKernel:
         return SalobaKernel(
             self.scoring,
             self.config.with_(subwarp_size=subwarp_size),
             fault_plan=self.fault_plan,
-            engine=engine if engine is not None else self.engine,
+            engine=self.engine,
         )
 
     def _probe_kernel(self, subwarp_size: int) -> SalobaKernel:
@@ -201,108 +162,17 @@ class BinTuner:
                 probed_ms[s] = t
                 if t < best_t:
                     best, best_t = s, t
-        engine = None
-        engine_ms: dict[str, float] = {}
-        engine_skipped: list[str] = []
-        if self.adaptive_engine and sample:
-            engine, engine_ms, engine_skipped = self._race_engines(sample)
-        kernel = self._make_kernel(best, engine=engine)
+        kernel = self._make_kernel(best)
         self._kernels[bin_index] = kernel
         self.chosen_subwarps[bin_index] = best
         self.chosen_engines[bin_index] = kernel.engine.name
-        if self.adaptive_engine:
-            self.engine_probe_ms[bin_index] = engine_ms
         if self.tracer:
-            attrs = dict(
-                bin=bin_index, chosen=best,
+            self.tracer.add(
+                "bin.tune", 0.0, bin=bin_index, chosen=best,
                 candidates_ms={str(s): t for s, t in probed_ms.items()},
                 skipped=skipped, sample=min(len(sample), self.sample_cap),
             )
-            if self.adaptive_engine:
-                # Auto mode only: these attrs carry real wall-clock
-                # measurements, so they are machine-dependent — fixed-
-                # engine traces must stay byte-identical across
-                # engines, hence the gate.
-                attrs.update(
-                    engine=kernel.engine.name,
-                    engine_wall_ms={n: round(t, 3) for n, t in engine_ms.items()},
-                    engine_skipped=engine_skipped,
-                )
-            self.tracer.add("bin.tune", 0.0, **attrs)
         return kernel
-
-    def _race_engines(self, sample: list[ExtensionJob]):
-        """Wall-clock-race the eligible registered engines on the bin
-        sample.
-
-        Returns ``(winner_name, wall_ms_by_name, skipped_names)``.
-        Only engines whose capability descriptor matches the serve
-        path's contract — exact, affine-gap, local endpoints
-        (:func:`race_candidates`) — enter the race: the registry also
-        carries bounded and alternative-endpoint backends (banded,
-        x-drop, semiglobal, NW) whose *results* differ, and letting
-        one of those win on speed would silently change scores.
-        Eligible engines differ only in host wall-clock speed (scores
-        are bit-identical by contract), so throughput is the *only*
-        axis to pick on and a real timing is the honest measurement —
-        it is machine-dependent, which is why the choice never leaks
-        into the modeled clock or metrics.
-
-        The race runs in two stages because engine ranking is batch-
-        size-dependent (the batched engines amortize per-row Python
-        overhead across the batch) while the slowest engine is orders
-        of magnitude off the pace (the per-pair reference dataflow
-        runs seconds per long pair): a **screen** on a four-job prefix
-        eliminates all but the two fastest engines cheaply, then the
-        **final** re-races the two survivors on the full sample (up to
-        ``engine_sample_cap`` jobs — the representative batch size the
-        bin will actually serve).  Sub-10 ms probes re-run once and
-        keep the minimum so fast engines are not ranked on a single
-        noisy timing; ties break on the registry name; an engine that
-        raises a taxonomy error (:class:`~repro.resilience.errors.
-        AlignmentError`) is skipped, and if every engine fails the
-        reference backend wins by forfeit.  Any other exception is a
-        broken engine, not a lost race, and propagates.  The returned timings are each
-        engine's wall at the *largest* sample it raced.
-        """
-        timings: dict[str, float] = {}
-        skipped: list[str] = []
-
-        def heat(names, probe) -> dict[str, float]:
-            round_t: dict[str, float] = {}
-            for name in names:
-                eng = resolve_engine(name)
-
-                def once() -> float:
-                    t0 = time.perf_counter()
-                    eng.score_batch(probe, self.scoring, config=self.config)
-                    return (time.perf_counter() - t0) * 1e3
-
-                try:
-                    t = once()
-                    if t < 10.0:
-                        t = min(t, once())
-                except AlignmentError:
-                    if name not in skipped:
-                        skipped.append(name)
-                    continue
-                round_t[name] = t
-            return round_t
-
-        final_size = min(len(sample), self.engine_sample_cap)
-        screen_size = min(4, final_size)
-        screen_t = heat(race_candidates(), sample[:screen_size])
-        timings.update(screen_t)
-        if not screen_t:
-            return "reference", timings, skipped
-        ranked = sorted(screen_t, key=lambda n: (screen_t[n], n))
-        finalists = ranked[:2]
-        if len(finalists) > 1 and final_size > screen_size:
-            final_t = heat(finalists, sample[:final_size])
-            if final_t:
-                timings.update(final_t)
-                ranked = sorted(final_t, key=lambda n: (final_t[n], n))
-        return ranked[0], timings, skipped
 
     def set_engine(self, engine) -> None:
         """Swap the scoring backend; tuned bins keep their subwarps.
@@ -310,15 +180,7 @@ class BinTuner:
         Kernels for already-tuned bins are rebuilt against the new
         engine from the recorded ``chosen_subwarps`` — no re-tuning
         runs, so no new ``bin.tune`` spans and no modeled-time drift.
-        Passing ``AUTO_ENGINE`` switches *future* bins to adaptive
-        selection; already-tuned bins keep their current engines
-        (their tuning samples are gone, so there is nothing to race).
         """
-        if isinstance(engine, str) and engine == AUTO_ENGINE:
-            self.adaptive_engine = True
-            self.engine = None
-            return
-        self.adaptive_engine = False
         self.engine = engine
         self._kernels = {
             b: self._make_kernel(s) for b, s in self.chosen_subwarps.items()

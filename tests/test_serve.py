@@ -2,6 +2,8 @@
 the fault-injection contract (every request resolves; cache never
 serves a failed job; deterministic reruns give identical snapshots)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,14 +17,17 @@ from repro.resilience import (
     job_key,
 )
 from repro.align import ScoringScheme, sw_align
-from repro.core import SUBWARP_SIZES
+from repro.core import SUBWARP_SIZES, SalobaConfig
+from repro.engine import engine_names, resolve_engine
 from repro.gpusim import GTX1650
+from repro.obs import Tracer
 from repro.serve import (
     AlignmentService,
     LengthBinner,
     ResultCache,
     cache_key,
 )
+from repro.serve.binning import BinTuner
 from repro.serve.bench import mixed_stream, run_serve_bench
 
 
@@ -272,6 +277,83 @@ class TestBinning:
         info = report["<=256"]
         assert info["subwarp"] in SUBWARP_SIZES
         assert 1 <= info["batch_size"] <= 512
+
+
+class TestBinTunerEngine:
+    def _sample(self, rng):
+        return make_jobs(_pairs(rng, 8, 1, 40))
+
+    def test_fixed_engine_traces_carry_no_selection_attrs(self, rng):
+        """Trace bytes are engine-independent: a ``bin.tune`` span
+        records the subwarp choice only, never the engine."""
+        sample = self._sample(rng)
+        for name in engine_names():
+            tracer = Tracer()
+            tuner = BinTuner(
+                ScoringScheme(), SalobaConfig(), GTX1650,
+                engine=resolve_engine(name), tracer=tracer,
+            )
+            tuner.kernel_for(0, sample)
+            (span,) = [s for root in tracer.roots for s in root.find("bin.tune")]
+            assert set(span.attrs) == {
+                "bin", "chosen", "candidates_ms", "skipped", "sample"
+            }
+            assert tuner.chosen_engines[0] == name
+
+    def test_tune_report_includes_engine(self, rng):
+        svc = AlignmentService(engine="batched")
+        report = svc.tune(self._sample(rng))
+        assert report
+        for entry in report.values():
+            assert entry["engine"] == "batched"
+
+    def test_set_engine_roundtrip(self, rng):
+        svc = AlignmentService(engine="batched")
+        sample = self._sample(rng)
+        svc.tuner.kernel_for(0, sample)
+        svc.tuner.kernel_for(1, sample)
+        subwarps = dict(svc.tuner.chosen_subwarps)
+        assert svc.tuner.chosen_engines == {0: "batched", 1: "batched"}
+        svc.set_engine("pruned")
+        assert svc.engine.name == "pruned"
+        # tuned bins keep their subwarps; only the engine follows
+        assert svc.tuner.chosen_subwarps == subwarps
+        assert svc.tuner.chosen_engines == {0: "pruned", 1: "pruned"}
+        kernel = svc.tuner.kernel_for(0, sample)
+        assert kernel.engine.name == "pruned"
+        assert kernel.config.subwarp_size == subwarps[0]
+
+
+class TestTuneBatchSizeFallback:
+    def _sample(self, rng):
+        return make_jobs(_pairs(rng, 6, 1, 40))
+
+    def test_fallback_probes_default_and_raises_when_it_cannot_fit(self, rng):
+        """Nothing fits a 1-byte device: rather than hand back the
+        (equally over-capacity) default, tuning raises the taxonomy
+        error up front."""
+        tiny = dataclasses.replace(GTX1650, name="tiny", device_mem_gb=1e-9)
+        tuner = BinTuner(ScoringScheme(), SalobaConfig(), tiny)
+        with pytest.raises(CapacityExceeded, match="fallback batch size"):
+            tuner.tune_batch_size(0, self._sample(rng))
+
+    def test_fallback_returns_default_when_it_fits(self, rng):
+        """Candidates that all exceed capacity but a default that fits
+        still fall back silently."""
+        sample = self._sample(rng)
+        per = sum(j.ref_len + j.query_len for j in sample) / len(sample)
+        # Fits ~32 sample-shaped jobs: every default candidate (>= 256)
+        # is disqualified, the probed default of 8 is not.
+        mid = dataclasses.replace(
+            GTX1650, name="mid", device_mem_gb=per * 32 / 1e9
+        )
+        tuner = BinTuner(ScoringScheme(), SalobaConfig(), mid)
+        assert tuner.tune_batch_size(0, sample, default=8) == 8
+
+    def test_normal_tuning_path_unchanged(self, rng):
+        tuner = BinTuner(ScoringScheme(), SalobaConfig(), GTX1650)
+        got = tuner.tune_batch_size(0, self._sample(rng))
+        assert got in (256, 1024, 4096)
 
 
 # ---------------------------------------------------------------------------

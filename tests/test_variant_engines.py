@@ -136,7 +136,6 @@ class TestCapabilities:
         expect = {
             "reference": ("exact", "affine", "local", ()),
             "batched": ("exact", "affine", "local", ()),
-            "striped": ("exact", "affine", "local", ()),
             "pruned": ("exact", "affine", "local", ()),
             "banded": ("bounded", "affine", "local", ("band",)),
             "xdrop": ("bounded", "affine", "anchored", ("x",)),
@@ -162,7 +161,7 @@ class TestCapabilities:
     def test_find_engines_queries(self):
         assert find_engines() == engine_names()
         assert find_engines(exactness="exact", endpoints="local") == (
-            "batched", "pruned", "reference", "striped")
+            "batched", "pruned", "reference")
         assert find_engines(requires=("band",)) == ("banded",)
         assert find_engines(requires=("x",)) == ("xdrop",)
         assert find_engines(endpoints="global") == ("nw",)
@@ -642,11 +641,14 @@ class TestBenchFidelityGates:
 
 class TestCliEngineValidation:
     def test_unknown_engine_exits_2(self, capsys):
-        rc = main(["serve-bench", "--requests", "1", "--engine", "gpu3000"])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert "unknown engine" in captured.err
-        assert "Traceback" not in captured.err
+        # "auto" is no engine name: engine choice never depends on a
+        # wall-clock measurement
+        for spec in ("gpu3000", "auto"):
+            rc = main(["serve-bench", "--requests", "1", "--engine", spec])
+            captured = capsys.readouterr()
+            assert rc == 2
+            assert f"unknown engine '{spec}'" in captured.err
+            assert "Traceback" not in captured.err
 
     def test_malformed_engine_params_exit_2(self, capsys):
         rc = main(["serve-bench", "--requests", "1", "--engine", "banded:frob=1"])
@@ -655,6 +657,13 @@ class TestCliEngineValidation:
         assert "Traceback" not in captured.err
 
     def test_cluster_bench_validates_engine_too(self, capsys):
-        rc = main(["cluster-bench", "--requests", "1", "--engine", "gpu3000"])
-        assert rc == 2
-        assert "unknown engine" in capsys.readouterr().err
+        for spec in ("gpu3000", "auto"):
+            rc = main(["cluster-bench", "--requests", "1", "--engine", spec])
+            captured = capsys.readouterr()
+            assert rc == 2
+            assert f"unknown engine '{spec}'" in captured.err
+            assert "Traceback" not in captured.err
+
+    def test_service_rejects_auto_engine(self):
+        with pytest.raises(ValueError, match="unknown engine 'auto'"):
+            AlignmentService(engine="auto")

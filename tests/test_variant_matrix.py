@@ -4,8 +4,7 @@ One parametrized module relating every registered backend pair through
 the capability descriptors: exact local engines are score-identical to
 each other and to the oracle; NW == semiglobal-with-free-ends-disabled
 == SW-with-zero-floor-removed on identical inputs (three derivations
-of the same global DP); the striped scalar scorer matches `sw_align`;
-the pruning sweep preserves exact scores; and the documented score
+of the same global DP); the pruning sweep preserves exact scores; and the documented score
 orderings between endpoint semantics (global <= semiglobal <= local,
 anchored <= local, banded <= local) hold for every comparable pair.
 """
@@ -15,7 +14,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.align import ScoringScheme, sw_align
+from repro.align import ScoringScheme
 from repro.align.banded import banded_sw_align
 from repro.align.matrix import full_matrices
 from repro.align.needleman_wunsch import nw_score, nw_score_slow
@@ -23,7 +22,6 @@ from repro.align.pruning import pruned_grid_sweep
 from repro.align.scoring import bwa_mem_scoring
 from repro.align.semiglobal import semiglobal_score_slow
 from repro.align.smith_waterman import sw_align_slow
-from repro.align.striped import striped_sw_score
 from repro.align.xdrop import xdrop_extend
 from repro.baselines.base import ExtensionJob
 from repro.engine import engine_capabilities, engine_names, resolve_engine
@@ -122,7 +120,7 @@ class TestPairwiseMatrix:
         scoring = SCHEMES[scheme_idx]
         pairs = _pairs(seed=77 + scheme_idx)
         locals_ = [n for n in engine_names() if _is_exact_local(n)]
-        assert set(locals_) == {"batched", "pruned", "reference", "striped"}
+        assert set(locals_) == {"batched", "pruned", "reference"}
         baseline = [sw_align_slow(r, q, scoring).score for r, q in pairs]
         for name in locals_:
             assert _scores(name, pairs, scoring) == baseline
@@ -193,17 +191,11 @@ class TestGlobalEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Striped scalar vs sw_align; pruning score preservation
+# Pruning score preservation
 # ---------------------------------------------------------------------------
 
 
 class TestScalarVariants:
-    @pytest.mark.parametrize("scheme_idx", range(len(SCHEMES)))
-    def test_striped_scalar_matches_sw_align(self, scheme_idx):
-        scoring = SCHEMES[scheme_idx]
-        for r, q in _pairs(seed=555 + scheme_idx):
-            assert striped_sw_score(r, q, scoring) == sw_align(r, q, scoring).score
-
     @pytest.mark.parametrize("scheme_idx", range(len(SCHEMES)))
     def test_pruning_sweep_preserves_scores(self, scheme_idx):
         scoring = SCHEMES[scheme_idx]

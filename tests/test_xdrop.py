@@ -1,9 +1,9 @@
-"""Tests for X-drop extension and striped Smith-Waterman."""
+"""Tests for X-drop extension."""
 
 import numpy as np
 import pytest
 
-from repro.align import ScoringScheme, striped_sw_score, sw_align_slow, xdrop_extend
+from repro.align import sw_align_slow, xdrop_extend
 from repro.align.xdrop import anchored_best_slow
 
 
@@ -66,36 +66,3 @@ class TestXDrop:
         local = sw_align_slow(r, q, scoring).score
         assert anchored <= local
 
-
-class TestStriped:
-    @pytest.mark.parametrize("stripes", [1, 2, 8, 16])
-    def test_matches_oracle(self, rng, scoring, stripes):
-        for _ in range(6):
-            m, n = rng.integers(1, 100, 2)
-            r = rng.integers(0, 5, m).astype(np.uint8)
-            q = rng.integers(0, 5, n).astype(np.uint8)
-            assert striped_sw_score(r, q, scoring, stripes=stripes) == \
-                sw_align_slow(r, q, scoring).score
-
-    def test_stripe_count_does_not_matter(self, rng, scoring):
-        r = rng.integers(0, 4, 77).astype(np.uint8)
-        q = rng.integers(0, 4, 91).astype(np.uint8)
-        scores = {striped_sw_score(r, q, scoring, stripes=p) for p in (1, 3, 7, 8, 13)}
-        assert len(scores) == 1
-
-    def test_empty(self, scoring):
-        assert striped_sw_score("", "ACGT", scoring) == 0
-
-    def test_query_shorter_than_stripes(self, scoring):
-        assert striped_sw_score("ACGT", "AC", scoring, stripes=8) == 2 * scoring.match
-
-    def test_gap_heavy_case_exercises_lazy_f(self, scoring):
-        # A long vertical gap forces F to carry across lane boundaries.
-        s = ScoringScheme(match=5, mismatch=-1, alpha=2, beta=1)
-        r = "ACGTACGTACGTACGTACGTACGT"
-        q = "ACGT" + "ACGT"  # query much shorter; gaps must carry
-        assert striped_sw_score(r, q, s, stripes=4) == sw_align_slow(r, q, s).score
-
-    def test_invalid_stripes(self, scoring):
-        with pytest.raises(ValueError):
-            striped_sw_score("AC", "AC", scoring, stripes=0)
