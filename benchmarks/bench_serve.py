@@ -3,10 +3,12 @@
 Length-binned dynamic batching plus the content-addressed result cache
 must achieve **>= 1.3x modeled throughput** over naive arrival-order
 ``BatchRunner.run_resilient`` on a mixed dataset A+B job stream with
->= 20% duplicate jobs, while every scored result stays bit-identical
-to the reference path.  The result is persisted as
-``benchmarks/results/BENCH_serve.{txt,json}`` so the serving-layer
-perf trajectory accumulates across PRs.
+>= 20% duplicate jobs, while every scored result stays bit-identical,
+endpoints included, to what the engine's contract expects
+(:func:`repro.engine.fidelity_sample`: ``sw_align`` for the default
+``batched`` engine and every other exact local engine).  The result
+is persisted as ``benchmarks/results/BENCH_serve.{txt,json}`` so the
+serving-layer perf trajectory accumulates across PRs.
 """
 
 import pytest

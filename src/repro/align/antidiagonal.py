@@ -22,10 +22,11 @@ __all__ = ["sw_align", "nw_score"]
 def sw_align(ref, query, scoring: ScoringScheme | None = None) -> AlignmentResult:
     """Smith-Waterman affine-gap local alignment, anti-diagonal vectorized.
 
-    Returns the best score and its (1-based) end coordinates; ties are
-    broken toward the smallest diagonal then the smallest reference
-    index, matching the row-scan oracle's first-maximum semantics *for
-    the score* (endpoints may differ among equal-scoring cells).
+    Returns the best score and its (1-based) end coordinates.  Ties go
+    to the smallest diagonal ``i + j``, then the smallest reference
+    index ``i``: the canonical rule every exact local engine follows.
+    The row-scan oracle ``sw_align_slow`` keeps its own first-maximum
+    rule, so it matches this function on the score only.
     """
     scoring = scoring or ScoringScheme()
     r = encode(ref).astype(np.intp)

@@ -16,7 +16,10 @@ A block's inputs are exactly what a CUDA thread would hold:
 * the 8 reference codes (rows) and 8 query codes (columns).
 
 Outputs are the mirror-image boundary vectors plus the block's max
-H and its argmax, so kernels can track the global best.
+H and its argmax, so kernels can track the global best.  Every kernel
+folds those argmaxes with :func:`fold_best`, so all of them report the
+canonical endpoint of :func:`repro.align.antidiagonal.sw_align`: best
+score, then smallest ``i + j``, then smallest ``i``.
 
 The engine is *batched*: it computes ``B`` independent blocks at once
 with vector operations over the batch axis, because that is precisely
@@ -32,10 +35,17 @@ import numpy as np
 
 from .scoring import NEG_INF, ScoringScheme
 
-__all__ = ["BLOCK", "BlockInputs", "BlockOutputs", "compute_blocks", "pad_to_blocks"]
+__all__ = [
+    "BLOCK", "BlockInputs", "BlockOutputs", "compute_blocks", "fold_best", "pad_to_blocks",
+]
 
 #: Block edge length in cells — 8 bases per packed 32-bit word.
 BLOCK = 8
+
+#: Row-major cell indices of a block sorted by ``(i + j, i)``.
+_CANONICAL_ORDER = np.array(
+    sorted(range(BLOCK * BLOCK), key=lambda c: (c // BLOCK + c % BLOCK, c // BLOCK))
+)
 
 
 @dataclass
@@ -84,7 +94,8 @@ class BlockOutputs:
     shared memory); ``corner_out`` is the H of the top boundary's last
     cell — the diagonal dependency of the *right* neighbour.
     ``block_max``/``argmax_i``/``argmax_j`` track the best cell inside
-    each block (0-based within the block).
+    each block (0-based within the block; ties go to the smallest
+    ``i + j``, then the smallest ``i``).
     """
 
     right_h: np.ndarray
@@ -102,7 +113,8 @@ def compute_blocks(inputs: BlockInputs, scoring: ScoringScheme) -> BlockOutputs:
 
     The inner double loop runs over the 64 fixed cell positions; all
     arithmetic is vectorized across the batch, so cost is ~64 fused
-    NumPy ops regardless of how many blocks (threads) are active.
+    NumPy ops regardless of how many blocks (threads) are active.  The
+    block's argmax is taken once, over the whole tile, at the end.
     """
     b = inputs.ref_codes.shape[0]
     sub = scoring.matrix
@@ -116,26 +128,21 @@ def compute_blocks(inputs: BlockInputs, scoring: ScoringScheme) -> BlockOutputs:
     ].astype(np.int32)
 
     # Rolling per-row state while sweeping rows top to bottom:
-    #   row_h/row_f: H and F of the row just above, per column (B, 8)
-    #   diag_h:      H of the above row shifted right once, with the
-    #                incoming corner/left values filling column 0.
-    row_h = inputs.top_h.astype(np.int32).copy()
-    row_f = inputs.top_f.astype(np.int32).copy()
-    right_h = np.empty((b, BLOCK), dtype=np.int32)
+    #   row_h/row_f: H and F of the row just above, per column (B, 8);
+    #   tile:        H of every cell, for the argmax after the sweep.
+    tile = np.empty((b, BLOCK, BLOCK), dtype=np.int32)
+    row_h = inputs.top_h.astype(np.int32)
+    row_f = inputs.top_f.astype(np.int32)
     right_e = np.empty((b, BLOCK), dtype=np.int32)
-    block_max = np.zeros(b, dtype=np.int32)
-    argmax_i = np.zeros(b, dtype=np.int32)
-    argmax_j = np.zeros(b, dtype=np.int32)
 
     # H value diagonally up-left of the first column of row i:
     # for i = 0 it is the incoming corner; afterwards the left_h entry.
-    diag_first = inputs.corner_h.astype(np.int32).copy()
-    corner_out = inputs.top_h[:, BLOCK - 1].astype(np.int32).copy()
+    diag_first = inputs.corner_h.astype(np.int32)
+    corner_out = inputs.top_h[:, BLOCK - 1].astype(np.int32)
 
-    h_cur = np.empty((b, BLOCK), dtype=np.int32)
-    e_cur = np.empty((b, BLOCK), dtype=np.int32)
     f_cur = np.empty((b, BLOCK), dtype=np.int32)
     for i in range(BLOCK):
+        h_cur = tile[:, i]
         h_left = inputs.left_h[:, i].astype(np.int32)
         e_left = inputs.left_e[:, i].astype(np.int32)
         h_diag = diag_first
@@ -144,32 +151,56 @@ def compute_blocks(inputs: BlockInputs, scoring: ScoringScheme) -> BlockOutputs:
             f = np.maximum(row_h[:, j] - alpha, row_f[:, j] - beta)
             h = np.maximum(np.maximum(e, f), np.maximum(h_diag + s[:, i, j], 0))
             h_cur[:, j] = h
-            e_cur[:, j] = e
             f_cur[:, j] = f
-            improved = h > block_max
-            if improved.any():
-                block_max = np.where(improved, h, block_max)
-                argmax_i = np.where(improved, np.int32(i), argmax_i)
-                argmax_j = np.where(improved, np.int32(j), argmax_j)
-            h_diag = row_h[:, j].copy()
+            h_diag = row_h[:, j]
             h_left = h
             e_left = e
-        right_h[:, i] = h_cur[:, BLOCK - 1]
-        right_e[:, i] = e_cur[:, BLOCK - 1]
+        right_e[:, i] = e_left
         diag_first = inputs.left_h[:, i].astype(np.int32)
-        row_h, h_cur = h_cur, row_h
+        row_h = h_cur
         row_f, f_cur = f_cur, row_f
-    # After the loop row_h/row_f hold the last computed row.
+    # First maximum in (i + j, i) order: the canonical endpoint.
+    cells = tile.reshape(b, BLOCK * BLOCK)[:, _CANONICAL_ORDER]
+    k = cells.argmax(axis=1)
     return BlockOutputs(
-        right_h=right_h,
+        right_h=tile[:, :, BLOCK - 1].copy(),
         right_e=right_e,
-        bottom_h=row_h.copy(),
-        bottom_f=row_f.copy(),
+        bottom_h=tile[:, BLOCK - 1].copy(),
+        bottom_f=row_f,
         corner_out=corner_out,
-        block_max=block_max,
-        argmax_i=argmax_i,
-        argmax_j=argmax_j,
+        block_max=cells[np.arange(b), k],
+        argmax_i=(_CANONICAL_ORDER[k] // BLOCK).astype(np.int32),
+        argmax_j=(_CANONICAL_ORDER[k] % BLOCK).astype(np.int32),
     )
+
+
+def fold_best(
+    best: tuple[int, int, int],
+    out: BlockOutputs,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    sl: slice = slice(None),
+) -> tuple[int, int, int]:
+    """Fold a batch of blocks' maxima into a running ``(score, i, j)``.
+
+    ``out.block_max[sl]`` etc. belong to the blocks at grid positions
+    ``(rows, cols)``; ``i``/``j`` are 1-based cell coordinates.  A cell
+    replaces *best* when its score is strictly higher, or equal and
+    ``> 0`` at a smaller ``(i + j, i)`` — the canonical local endpoint,
+    whatever order the blocks were computed in.
+    """
+    bm = out.block_max[sl]
+    top = int(bm.max())
+    if top <= 0 or top < best[0]:
+        return best
+    k = np.flatnonzero(bm == top)
+    i = rows[k] * BLOCK + out.argmax_i[sl][k] + 1
+    j = cols[k] * BLOCK + out.argmax_j[sl][k] + 1
+    w = np.lexsort((i, i + j))[0]
+    cand = (top, int(i[w]), int(j[w]))
+    if top > best[0] or (cand[1] + cand[2], cand[1]) < (best[1] + best[2], best[1]):
+        return cand
+    return best
 
 
 def pad_to_blocks(codes: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BLOCK, BlockInputs, compute_blocks, pad_to_blocks
+from .blocks import BLOCK, BlockInputs, compute_blocks, fold_best, pad_to_blocks
 from .matrix import AlignmentResult
 from .scoring import NEG_INF, ScoringScheme
 
@@ -64,7 +64,7 @@ class _JobState:
     """Mutable wavefront state of one job during the sweep."""
 
     __slots__ = ("ref_rows", "query_cols", "r", "q", "left_h", "left_e",
-                 "top_h", "top_f", "corner", "best", "best_i", "best_j")
+                 "top_h", "top_f", "corner", "best")
 
     def __init__(self, ref: np.ndarray, query: np.ndarray):
         ref_p = pad_to_blocks(np.asarray(ref, dtype=np.uint8))
@@ -78,9 +78,8 @@ class _JobState:
         self.top_h = np.zeros((self.q, BLOCK), dtype=np.int32)
         self.top_f = np.full((self.q, BLOCK), NEG_INF, dtype=np.int32)
         self.corner = np.zeros(self.r, dtype=np.int32)
-        self.best = 0
-        self.best_i = 0
-        self.best_j = 0
+        #: Running ``(score, i, j)`` under :func:`fold_best`'s rule.
+        self.best = (0, 0, 0)
 
     def active_rows(self, d: int) -> np.ndarray:
         lo = max(0, d - self.q + 1)
@@ -96,9 +95,10 @@ def grid_sweep(
 ) -> list[AlignmentResult]:
     """Exact local-alignment results for ``(ref, query)`` code pairs.
 
-    Empty sequences short-circuit to the empty alignment.  Scores are
-    bit-identical to the reference oracle; endpoints point at *a*
-    maximal cell (the earliest one in block anti-diagonal order).
+    Empty sequences short-circuit to the empty alignment.  Results are
+    bit-identical to :func:`~repro.align.antidiagonal.sw_align`,
+    endpoints included: best score, then smallest ``i + j``, then
+    smallest ``i``.
     """
     scoring = scoring or ScoringScheme()
     states: list[_JobState | None] = []
@@ -137,18 +137,7 @@ def grid_sweep(
             s.top_h[cols] = out.bottom_h[sl]
             s.top_f[cols] = out.bottom_f[sl]
             s.corner[rows] = out.corner_out[sl]
-            bm = out.block_max[sl]
-            w = int(np.argmax(bm))
-            if int(bm[w]) > s.best:
-                s.best = int(bm[w])
-                s.best_i = int(rows[w]) * BLOCK + int(out.argmax_i[off + w]) + 1
-                s.best_j = int(cols[w]) * BLOCK + int(out.argmax_j[off + w]) + 1
+            s.best = fold_best(s.best, out, rows, cols, sl)
             off += k
 
-    results: list[AlignmentResult] = []
-    for s in states:
-        if s is None:
-            results.append(AlignmentResult(score=0, ref_end=0, query_end=0))
-        else:
-            results.append(AlignmentResult(score=s.best, ref_end=s.best_i, query_end=s.best_j))
-    return results
+    return [AlignmentResult(*(s.best if s is not None else (0, 0, 0))) for s in states]

@@ -13,10 +13,13 @@ bound on any path through it is
     max(incoming boundary H) + match * 8 * min(R - row, Q - col) * 8'
 
 i.e. the best boundary value plus a perfect diagonal run to the
-table's edge.  If that bound is <= the best score already found, the
+table's edge.  If that bound is below the best score already found, the
 block (and, transitively, regions only reachable through it) can be
-skipped.  Pruning is *exact*: the returned score always equals the
-unpruned optimum, which the tests pin down.
+skipped.  A block whose bound *equals* the best is still computed
+while its first cell diagonal ``8 * (row + col) + 2`` is ``<=`` the
+best cell's ``i + j``, since it could hold a tie on a smaller
+diagonal.  Pruning is *exact*: the returned result always equals the
+unpruned one, endpoint included, which the tests pin down.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BLOCK, BlockInputs, compute_blocks
+from .blocks import BLOCK, BlockInputs, compute_blocks, fold_best
 from .grid import _JobState
 from .matrix import AlignmentResult
 from .scoring import ScoringScheme
@@ -84,7 +87,10 @@ def pruned_grid_sweep(
         # Perfect diagonal run to the table edge: min(remaining block
         # rows, remaining block cols) blocks of 8 matching cells each.
         bound = best_in + match * np.minimum(s.r - rows, s.q - cols) * BLOCK
-        keep = bound > s.best
+        best, best_i, best_j = s.best
+        keep = (bound > best) | (
+            (bound == best) & (BLOCK * (rows + cols) + 2 <= best_i + best_j)
+        )
         if not keep.any():
             continue
         rows_k = rows[keep]
@@ -105,14 +111,9 @@ def pruned_grid_sweep(
         s.top_h[cols_k] = out.bottom_h
         s.top_f[cols_k] = out.bottom_f
         s.corner[rows_k] = out.corner_out
-        bm = out.block_max
-        w = int(np.argmax(bm))
-        if int(bm[w]) > s.best:
-            s.best = int(bm[w])
-            s.best_i = int(rows_k[w]) * BLOCK + int(out.argmax_i[w]) + 1
-            s.best_j = int(cols_k[w]) * BLOCK + int(out.argmax_j[w]) + 1
+        s.best = fold_best(s.best, out, rows_k, cols_k)
     return PrunedSweepResult(
-        result=AlignmentResult(score=s.best, ref_end=s.best_i, query_end=s.best_j),
+        result=AlignmentResult(*s.best),
         blocks_total=total,
         blocks_computed=computed,
     )

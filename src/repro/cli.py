@@ -157,10 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dataset-B-shaped share of the unique jobs")
     p_srv.add_argument("--seed", type=int, default=0)
     p_srv.add_argument("--device", default="GTX1650", choices=sorted(known_devices()))
-    p_srv.add_argument("--engine", default="reference",
-                       help="scoring backend for the service run (any "
-                            "registered name, optionally with bound params "
-                            "like 'banded:band=16'; see repro.engine)")
+    p_srv.add_argument("--engine", default=None,
+                       help="scoring backend for the service run (default "
+                            "'batched'; any registered name, optionally with "
+                            "bound params like 'banded:band=16'; see "
+                            "repro.engine)")
     p_srv.add_argument("--out", default=None, help="write the JSON result here")
     p_srv.add_argument("--trace", default=None, metavar="FILE",
                        help="also export a Chrome trace of the service run")
@@ -223,10 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
                            "(the skew that unbalances hash placement)")
     p_cl.add_argument("--seed", type=int, default=0)
     p_cl.add_argument("--device", default="GTX1650", choices=sorted(known_devices()))
-    p_cl.add_argument("--engine", default="reference",
-                      help="scoring backend on every worker (any registered "
-                           "name, optionally with bound params like "
-                           "'banded:band=16'; see repro.engine)")
+    p_cl.add_argument("--engine", default=None,
+                      help="scoring backend on every worker (default "
+                           "'batched'; any registered name, optionally with "
+                           "bound params like 'banded:band=16'; see "
+                           "repro.engine)")
     p_cl.add_argument("--scored-pairs", type=int, default=24,
                       help="scored fidelity-check workload size (0 skips it)")
     p_cl.add_argument("--out", default=None, metavar="FILE",
@@ -275,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _engine_arg(spec: str) -> str:
+def _engine_arg(spec: str | None) -> str | None:
     """Validate an ``--engine`` value against the registry.
 
     The spec must resolve — including any ``:key=value`` bound

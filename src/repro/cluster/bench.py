@@ -12,11 +12,11 @@ number is how much of the ``static_hash`` imbalance gap stealing closes
 while keeping hash affinity's cache behaviour.
 
 **Fidelity (scored).** A small scored workload runs through *every*
-combination and must produce bit-identical results to the engine's
-contract — exact local engines against the single-device reference
-path, bounded/alternative-endpoint engines against their own direct
-``score_batch`` output (see ``_fidelity_check``) — placement and
-stealing may only change the modeled schedule, never a result.
+combination and must reproduce, endpoints included, the results
+:func:`repro.engine.fidelity_sample` expects of the engine
+(``sw_align`` for exact local engines, the engine's own direct
+``score_batch`` otherwise) — placement and stealing may only change
+the modeled schedule, never a result.
 
 Everything is seeded and modeled, so rerunning the benchmark yields a
 byte-identical JSON artifact (the CI ``cluster-smoke`` job ``cmp``\\ s
@@ -28,14 +28,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..align.scoring import ScoringScheme
-from ..baselines.base import ExtensionJob
 from ..core.config import SalobaConfig
-from ..core.batching import BatchRunner
-from ..core.kernel import SalobaKernel
-from ..engine import resolve_engine
+from ..engine import fidelity_sample
 from ..gpusim.device import GTX1650, DeviceProfile
 from ..serve.bench import mixed_stream
 from .cluster import AlignmentCluster
@@ -96,74 +91,6 @@ class ClusterBenchResult:
         dumps_kwargs.setdefault("indent", 2)
         dumps_kwargs.setdefault("sort_keys", True)
         return json.dumps(self.__dict__, **dumps_kwargs)
-
-
-def _fidelity_check(
-    scoring: ScoringScheme,
-    config: SalobaConfig,
-    device: DeviceProfile,
-    combos: list[tuple[str, bool]],
-    *,
-    n_workers: int,
-    n: int,
-    seed: int,
-    engine=None,
-) -> tuple[int, bool]:
-    """Results must match the engine's contract under every schedule.
-
-    What "fidelity" means is read off the engine's capability
-    descriptor, mirroring :func:`repro.serve.bench._fidelity_check`:
-
-    * **exact local** engines (``None`` included) must
-      produce bit-identical *scores* to the single-device reference
-      path — the optimal endpoint can legitimately differ when
-      several cells tie at the maximum, because each worker's
-      auto-tuned subwarp scans the matrix in a different order; the
-      maximum itself is scan-order-invariant;
-    * **bounded or alternative-endpoint** engines compute a different
-      quantity than the reference oracle, so every schedule's results
-      must instead be bit-identical — endpoints included — to the
-      engine's own direct ``score_batch`` output (all such engines
-      are grouping-invariant, so placement and stealing still may
-      only change the modeled schedule, never a result).
-    """
-    if n <= 0:
-        return 0, True
-    rng = np.random.default_rng(seed + 1)
-    unique = [
-        ExtensionJob(
-            ref=rng.integers(0, 4, int(rng.integers(40, 90))).astype(np.uint8),
-            query=rng.integers(0, 4, int(rng.integers(30, 80))).astype(np.uint8),
-        )
-        for _ in range(max(n // 2, 1))
-    ]
-    jobs = unique + [unique[int(i)] for i in rng.integers(0, len(unique), n - len(unique))]
-    eng = None if engine is None else resolve_engine(engine)
-    if eng is not None and not (
-        eng.capabilities.exactness == "exact"
-        and eng.capabilities.endpoints == "local"
-    ):
-        expected = eng.score_batch(jobs, scoring, config=config)
-        compare = lambda h, exp: h.result() == exp  # noqa: E731
-    else:
-        reference = BatchRunner(
-            SalobaKernel(scoring, config), device, batch_size=len(jobs)
-        ).run_resilient(jobs, compute_scores=True)
-        assert reference.results is not None
-        expected = reference.results
-        compare = lambda h, exp: h.result().score == exp.score  # noqa: E731
-    for policy, stealing in combos:
-        cl = AlignmentCluster(
-            [WorkerSpec(f"w{i}", device=device) for i in range(n_workers)],
-            scoring=scoring, config=config,
-            policy=policy, stealing=stealing,
-            engine=engine,
-        )
-        handles = cl.submit_jobs(jobs)
-        cl.run()
-        if not all(compare(h, exp) for h, exp in zip(handles, expected)):
-            return len(jobs), False
-    return len(jobs), True
 
 
 def run_cluster_bench(
@@ -229,10 +156,22 @@ def run_cluster_bench(
         if base["makespan_ms"] > 0.0:
             gain = stolen["makespan_ms"] / base["makespan_ms"] - 1.0
 
-    checked, identical = _fidelity_check(
-        scoring, config, device, combos,
-        n_workers=n_workers, n=scored_pairs, seed=seed, engine=engine,
+    jobs, expected = fidelity_sample(
+        engine, scoring, config, n=scored_pairs, seed=seed
     )
+    identical = True
+    for policy, stealing in combos:
+        cl = AlignmentCluster(
+            [WorkerSpec(f"w{i}", device=device) for i in range(n_workers)],
+            scoring=scoring, config=config,
+            policy=policy, stealing=stealing,
+            engine=engine,
+        )
+        handles = cl.submit_jobs(jobs)
+        cl.run()
+        if [h.result() for h in handles] != expected:
+            identical = False
+            break
     return ClusterBenchResult(
         n_requests=len(stream),
         n_unique=n_unique,
@@ -243,6 +182,6 @@ def run_cluster_bench(
         rows=rows,
         imbalance_gap_closed=gap_closed,
         makespan_gain_vs_static=gain,
-        scored_checked=checked,
+        scored_checked=len(jobs),
         scored_identical=identical,
     )

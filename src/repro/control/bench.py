@@ -161,16 +161,15 @@ def run_control_bench(
     down_at_frac: float = 0.25,
     deadline_factor: float = 2.0,
     window_frac: float = 0.1,
-    engine="batched",
+    engine=None,
     check_determinism: bool = True,
 ) -> ControlBenchResult:
     """Run the three-phase healing benchmark; see the module docstring.
 
     ``max_batch_jobs`` is deliberately small: micro-batches are the
     event-loop granularity, and windows can only catch a fault between
-    events.  ``engine`` defaults to the batched backend — engines never
-    change modeled results, so the cheap one is the right one for a
-    modeled benchmark.
+    events.  ``engine`` selects the scoring backend (``None`` is the
+    default ``batched``); engines never change modeled results.
     """
     if n_workers < 3:
         raise ValueError("the storm kills one worker and degrades another; "

@@ -20,8 +20,11 @@ paper's shared-memory protocol exactly:
 
 The executor audits the protocol (bytes spilled == boundary bytes ==
 bytes read back; every slot read was written the step before) and its
-scores are tested bit-identical to reference Smith-Waterman — so the
-mechanism, not just the formula, is validated.
+results are tested bit-identical to reference Smith-Waterman, endpoints
+included — so the mechanism, not just the formula, is validated.  The
+final max-reduction keeps the canonical endpoint of
+:func:`repro.align.blocks.fold_best` (smallest ``i + j``, then
+smallest ``i``), so the subwarp size never changes a result.
 
 Shared-memory layout note: cells are stored slot-minor / lane-major
 (word index ``cell*32 + warp_lane``), so a warp-wide access at a fixed
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..align.blocks import BLOCK, BlockInputs, compute_blocks, pad_to_blocks
+from ..align.blocks import BLOCK, BlockInputs, compute_blocks, fold_best, pad_to_blocks
 from ..align.matrix import AlignmentResult
 from ..align.scoring import NEG_INF, ScoringScheme
 from .config import SalobaConfig
@@ -128,7 +131,7 @@ def saloba_extend_exact(
     prev_bottom_h = np.zeros((q, BLOCK), dtype=np.int32)
     prev_bottom_f = np.full((q, BLOCK), NEG_INF, dtype=np.int32)
 
-    best, best_i, best_j = 0, 0, 0
+    best = (0, 0, 0)
     row0 = 0
     chunk_idx = 0
     schedules: dict[int, list[tuple[list[int], list[int]]]] = {}
@@ -186,10 +189,6 @@ def saloba_extend_exact(
                 left_h[k] = out.right_h[idx]
                 left_e[k] = out.right_e[idx]
                 corner[k] = out.corner_out[idx]
-                if int(out.block_max[idx]) > best:
-                    best = int(out.block_max[idx])
-                    best_i = (row0 + k) * BLOCK + int(out.argmax_i[idx]) + 1
-                    best_j = j * BLOCK + int(out.argmax_j[idx]) + 1
                 if k == h - 1:
                     new_bottom_h[j] = out.bottom_h[idx]
                     new_bottom_f[j] = out.bottom_f[idx]
@@ -197,6 +196,7 @@ def saloba_extend_exact(
                         pending.append(j)
                         if len(pending) == s:
                             _flush(audit, pending)
+            best = fold_best(best, out, row0 + np.asarray(ks), np.asarray(cols))
         if pending:
             _flush(audit, pending)
         prev_bottom_h = new_bottom_h
@@ -204,7 +204,7 @@ def saloba_extend_exact(
         row0 += h
         chunk_idx += 1
 
-    return AlignmentResult(score=best, ref_end=best_i, query_end=best_j), audit
+    return AlignmentResult(*best), audit
 
 
 def _flush(audit: SpillAudit, pending: list[int]) -> None:

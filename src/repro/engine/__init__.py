@@ -15,6 +15,7 @@ from .base import (
     ExecutionEngine,
     engine_capabilities,
     engine_names,
+    fidelity_sample,
     find_engines,
     parse_engine_spec,
     register_engine,
@@ -44,6 +45,7 @@ __all__ = [
     "batched_sw_align",
     "engine_capabilities",
     "engine_names",
+    "fidelity_sample",
     "find_engines",
     "parse_engine_spec",
     "register_engine",

@@ -13,7 +13,9 @@ Every registered engine carries an :class:`EngineCapabilities`
 descriptor saying *what it computes*, not just how fast:
 
 ``exactness``
-    ``"exact"`` engines reproduce the full-table optimum bit for bit;
+    ``"exact"`` engines reproduce the full-table optimum bit for bit
+    (exact local engines: the whole result of
+    :func:`repro.align.antidiagonal.sw_align`, endpoint included);
     ``"bounded"`` engines restrict the sweep (a band, an X-drop
     threshold) and may return a lower score on adversarial inputs.
 ``gap_model``
@@ -34,13 +36,16 @@ Callers *select by capability* instead of hard-coding module imports:
 the QoS degradation ladder resolves its banded / x-drop tiers through
 :func:`find_engines`.
 
-The exact local backends that ship: ``reference`` (per-pair faithful
-dataflow, :func:`repro.core.intra_query.saloba_extend_exact`),
-``batched`` (cross-query row sweep), and ``pruned`` (block-grid
-sweep with CUDAlign-style block pruning).  The bounded /
-alternative-endpoint family from :mod:`repro.align` registers
-alongside them: ``banded``, ``xdrop``, ``semiglobal``, and ``nw``
-(see :mod:`repro.engine.variants`).
+The exact local backends that ship: ``batched`` (cross-query row
+sweep, the default), ``reference`` (per-pair faithful dataflow,
+:func:`repro.core.intra_query.saloba_extend_exact`, kept as the
+audited oracle of the paper's kernel), and ``pruned`` (block-grid
+sweep with CUDAlign-style block pruning).  All three return the same
+:class:`~repro.align.matrix.AlignmentResult`: the best score, and on
+a tie the cell with the smallest ``i + j``, then the smallest ``i``.
+The bounded / alternative-endpoint family from :mod:`repro.align`
+registers alongside them: ``banded``, ``xdrop``, ``semiglobal``, and
+``nw`` (see :mod:`repro.engine.variants`).
 
 Select one by name wherever a kernel is built (``AlignmentService``,
 ``WorkerSpec``/``AlignmentCluster``, ``--engine`` on the bench CLIs)
@@ -54,6 +59,9 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
+import numpy as np
+
+from ..align.antidiagonal import sw_align
 from ..align.matrix import AlignmentResult
 from ..align.scoring import ScoringScheme
 
@@ -62,6 +70,7 @@ __all__ = [
     "ExecutionEngine",
     "engine_capabilities",
     "engine_names",
+    "fidelity_sample",
     "find_engines",
     "parse_engine_spec",
     "register_engine",
@@ -109,19 +118,52 @@ class EngineCapabilities:
             raise ValueError("exact engines cannot declare bound_params")
 
 
+def fidelity_sample(
+    engine, scoring: ScoringScheme, config=None, *, n: int, seed: int
+) -> tuple[list, list[AlignmentResult]]:
+    """A seeded job sample and the results *engine* must reproduce on it.
+
+    The sample is ``n`` jobs: ``max(n // 2, 1)`` unique random pairs
+    (references of 40-89 bp, queries of 30-79 bp) followed by repeats
+    of them, so a service's cache and coalescing are exercised too.
+    Exact local engines must return
+    :func:`~repro.align.antidiagonal.sw_align`'s results; any other
+    engine must return its own direct ``score_batch`` output.  Callers
+    compare whole results, endpoints included.
+    """
+    if n <= 0:
+        return [], []
+    # Imported lazily: the baselines package imports the kernels, which
+    # import this module.
+    from ..baselines.base import ExtensionJob
+
+    eng = resolve_engine(engine)
+    rng = np.random.default_rng(seed + 1)
+    unique = [
+        ExtensionJob(
+            ref=rng.integers(0, 4, int(rng.integers(40, 90))).astype(np.uint8),
+            query=rng.integers(0, 4, int(rng.integers(30, 80))).astype(np.uint8),
+        )
+        for _ in range(max(n // 2, 1))
+    ]
+    jobs = unique + [unique[int(i)] for i in rng.integers(0, len(unique), n - len(unique))]
+    caps = eng.capabilities
+    if caps.exactness == "exact" and caps.endpoints == "local":
+        return jobs, [sw_align(j.ref, j.query, scoring) for j in jobs]
+    return jobs, eng.score_batch(jobs, scoring, config=config)
+
+
 class ExecutionEngine(ABC):
     """Functional scoring backend for a micro-batch of extension jobs.
 
-    Exact local engines compute **scores only** — they must be
-    bit-identical to the reference oracle
-    (:func:`repro.align.smith_waterman.sw_align_slow`) on the score,
-    while end coordinates may point at any equal-scoring cell (the
-    library-wide tie-break caveat).  Engines with other capability
-    descriptors are bit-identical to *their own* per-pair reference
-    algorithm in :mod:`repro.align` (endpoints included, so the QoS
-    degraded tiers stay byte-reproducible).  Engines never touch the
-    timing model: modeled cost is charged by the kernel identically
-    whichever engine runs.
+    Exact local engines are bit-identical to
+    :func:`repro.align.antidiagonal.sw_align`, endpoints included:
+    best score, then smallest ``i + j``, then smallest ``i``.  Engines
+    with other capability descriptors are bit-identical to *their own*
+    per-pair reference algorithm in :mod:`repro.align` (endpoints
+    included, so the QoS degraded tiers stay byte-reproducible).
+    Engines never touch the timing model: modeled cost is charged by
+    the kernel identically whichever engine runs.
     """
 
     #: Registry name; also used in benchmark/CLI output.
@@ -278,7 +320,7 @@ def parse_engine_spec(spec: str) -> tuple[str, dict[str, object]]:
 def resolve_engine(spec, **params) -> ExecutionEngine:
     """Turn an engine spec into an instance.
 
-    ``None`` means the reference engine (the pre-engine behaviour); a
+    ``None`` means the ``batched`` engine, the fast exact local one; a
     string is looked up in the registry (an optional ``:key=value``
     suffix carries bound parameters, e.g. ``"banded:band=16"``); an
     instance passes through.  Keyword *params* merge over spec-string
@@ -287,7 +329,7 @@ def resolve_engine(spec, **params) -> ExecutionEngine:
     them to the taxonomy exit code.
     """
     if spec is None:
-        spec = "reference"
+        spec = "batched"
     if isinstance(spec, ExecutionEngine):
         if params:
             raise ValueError("cannot apply engine params to an instance spec")

@@ -1,7 +1,7 @@
 """Cross-query batched row sweep (the ``batched`` engine).
 
-The reference engine walks one Python wavefront per job; this engine
-scores an entire micro-batch at once.  All pairs are padded into one
+The default engine.  The reference engine walks one Python wavefront
+per job; this engine scores an entire micro-batch at once.  All pairs are padded into one
 ``batch x L`` row, and the sweep runs over the ``R`` rows of the
 group's *shorter* axis (``R = min(M, N)``, ``L = max(M, N)``, ``M``
 and ``N`` the longest reference and query): each step computes one DP
@@ -28,10 +28,10 @@ Padding discipline:
 * arithmetic is int64, so ``NEG_INF`` survives repeated gap extension.
 
 Scores *and* end coordinates are bit-identical to
-:func:`repro.align.antidiagonal.sw_align` (same first-maximum
-tie-break: smallest diagonal, then smallest reference index); scores
-are bit-identical to the row-scan oracle ``sw_align_slow`` and to the
-reference engine.
+:func:`repro.align.antidiagonal.sw_align` (the canonical tie-break of
+every exact local engine: smallest diagonal, then smallest reference
+index); scores are bit-identical to the row-scan oracle
+``sw_align_slow``.
 
 The same sweep is the ``banded`` engine (:mod:`repro.engine.variants`):
 given per-pair ``bands`` it adds a per-row band mask and the row

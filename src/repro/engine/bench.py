@@ -14,11 +14,12 @@ stream, and checks every equivalence the abstraction promises:
 * **modeled clock / metrics / traces** — the two runs must agree on
   the modeled milliseconds, produce equal metric snapshots, and export
   byte-identical Chrome traces;
-* **scores** — every request's score must match across engines, and a
-  sample of unique pairs is re-scored against the row-scan oracle
-  (:func:`~repro.align.smith_waterman.sw_align_slow`); the batched
-  sweep additionally must reproduce :func:`~repro.align.sw_align`
-  *including end coordinates* (they share first-maximum tie-breaks).
+* **results** — every request's whole result, endpoints included,
+  must match across engines (``scores_identical``); a sample of unique
+  pairs is re-scored against the row-scan oracle
+  (:func:`~repro.align.smith_waterman.sw_align_slow`, score only: its
+  tie-break differs), and the batched sweep must reproduce
+  :func:`~repro.align.sw_align` *including end coordinates*.
 
 Wall-clock numbers are machine noise by definition, so the JSON
 artifact comes in two flavours: :meth:`EngineBenchResult.to_json`
@@ -223,9 +224,7 @@ def run_engine_bench(
         stream, scoring, config, device, engine="batched", n_waves=n_waves
     )
 
-    scores_identical = all(
-        a.score == b.score for a, b in zip(ref_results, bat_results)
-    )
+    scores_identical = ref_results == bat_results
 
     oracle_sample = [
         j for j in unique if max(j.ref_len, j.query_len) <= oracle_max_length

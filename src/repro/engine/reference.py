@@ -1,11 +1,10 @@
 """The per-pair reference engine: one faithful dataflow run per job.
 
-This is the exact-scoring path every kernel used before the engine
-abstraction: each job runs individually through the SALoBa dataflow
-executor with its shared-memory protocol audit.  It is the slowest and
-most thoroughly validated backend — the batched engine is tested
-against it, and it stays the default so existing behaviour (including
-the audit's protocol guarantees) is unchanged unless a caller opts in.
+Each job runs individually through the SALoBa dataflow executor with
+its shared-memory protocol audit.  It is the slowest backend and the
+audited oracle of the paper's kernel: select it by name
+(``engine="reference"``) to run the dataflow and its spill audit.  Its
+results equal the default ``batched`` engine's, endpoints included.
 """
 
 from __future__ import annotations

@@ -32,15 +32,14 @@ inside ``score_batch``:
     vectorized :func:`repro.align.antidiagonal.nw_score`.
 ``pruned``
     Exact local block-grid sweep with CUDAlign-style block pruning
-    (:func:`repro.align.pruning.pruned_grid_sweep`) — score-identical
-    to the oracle, per pair.
+    (:func:`repro.align.pruning.pruned_grid_sweep`), per pair.
 
 Bit-identity contracts: the **banded** and **xdrop** engines reproduce
 their per-pair reference algorithms byte for byte (the degraded QoS
 tiers resolve through them, and degraded results must stay
-reproducible across PRs); **pruned** is score-identical to
-``sw_align_slow`` with block-grid endpoints (the library-wide
-tie-break caveat applies, as for ``batched``).
+reproducible across PRs); **pruned** reproduces
+:func:`repro.align.antidiagonal.sw_align`, endpoints included, like
+every exact local engine.
 """
 
 from __future__ import annotations
@@ -232,10 +231,10 @@ class NWEngine(ExecutionEngine):
 class PrunedEngine(ExecutionEngine):
     """Exact local block-grid sweep with block pruning (per-pair).
 
-    Scores are bit-identical to the oracle (pruning is exact by
-    construction); endpoints follow the block-grid scan order, which
-    may pick a different equal-scoring cell than the row scan (the
-    library-wide tie-break caveat, as for ``batched``).
+    Results are bit-identical to
+    :func:`~repro.align.antidiagonal.sw_align`, endpoints included:
+    pruning is exact by construction, and a block that could hold a
+    tie on a smaller diagonal is never skipped.
     """
 
     name = "pruned"

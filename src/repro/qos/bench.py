@@ -139,17 +139,15 @@ def _run_point(spec: TraceSpec, *, device: DeviceProfile, max_queue_depth: int,
 def _identity_check(device: DeviceProfile) -> dict:
     """Scored single-tenant, no-overload: QoS on vs off, bit-identical.
 
-    Both sides score through the ``batched`` engine: the check compares
-    QoS against no QoS under one engine, and the per-pair ``reference``
-    dataflow would cost nearly the whole bench's run time.
+    Both sides score through the default ``batched`` engine: the check
+    compares QoS against no QoS under one engine.
     """
     jobs = mixed_stream(
         80, b_fraction=0.2, duplicate_fraction=0.25, seed=0, b_max_length=1200
     )
 
     def run(policy):
-        svc = AlignmentService(device=device, compute_scores=True, qos=policy,
-                               engine="batched")
+        svc = AlignmentService(device=device, compute_scores=True, qos=policy)
         handles = svc.submit_jobs(jobs)
         svc.flush()
         return svc, handles

@@ -13,9 +13,9 @@ Two phases:
 * **throughput** — a large stream in model-only mode (the timing model
   is exact either way; skipping Python-side DP keeps the bench fast);
 * **fidelity** — a small scored stream where every service result must
-  match the engine's capability contract bitwise (exact local engines
-  against the reference path, bounded/alternative-endpoint engines
-  against their own direct ``score_batch``), duplicates included.
+  equal the one :func:`repro.engine.fidelity_sample` expects of the
+  engine (``sw_align`` for exact local engines, the engine's own
+  direct ``score_batch`` otherwise), endpoints and duplicates included.
 
 Shared by ``repro serve-bench`` (CLI) and ``benchmarks/bench_serve.py``
 (pytest harness, which asserts the >=1.3x acceptance bar).
@@ -34,6 +34,7 @@ from ..core.batching import BatchRunner
 from ..core.config import SalobaConfig
 from ..core.kernel import SalobaKernel
 from ..datasets.profiles import DATASET_A, DATASET_B
+from ..engine.base import fidelity_sample
 from ..gpusim.device import GTX1650, DeviceProfile
 from ..obs import Tracer, chrome_trace_json, rollup
 from .service import AlignmentService
@@ -96,8 +97,8 @@ def mixed_stream(
     reads, interleaved arrival-order like a real multi-tenant front
     end would see.  ``b_max_length`` optionally caps the long-read
     tail below the profile's own ``max_length`` — scored benchmarks
-    use it to keep the per-pair reference path affordable without
-    changing the stream's shape elsewhere (None = profile cap).
+    use it to keep exact scoring affordable without changing the
+    stream's shape elsewhere (None = profile cap).
     """
     if not 0.0 <= duplicate_fraction < 1.0:
         raise ValueError("duplicate_fraction must be in [0, 1)")
@@ -163,74 +164,6 @@ class ServeBenchResult:
         return json.dumps(self.__dict__, **dumps_kwargs)
 
 
-def _fidelity_check(
-    scoring: ScoringScheme,
-    config: SalobaConfig,
-    device: DeviceProfile,
-    *,
-    n: int,
-    seed: int,
-    engine=None,
-) -> tuple[int, bool]:
-    """Scored service results must match the engine's contract bitwise.
-
-    What "fidelity" means is read off the engine's capability
-    descriptor (:class:`repro.engine.EngineCapabilities`):
-
-    * the reference engine reproduces the full per-pair path, so the
-      comparison is the complete result (score and endpoints);
-    * other **exact local** engines guarantee bit-identical *scores*
-      while equal-scoring cells may end at a different coordinate (the
-      library-wide tie-break caveat), so the comparison drops to
-      scores only;
-    * **bounded or alternative-endpoint** engines (banded, x-drop,
-      semiglobal, NW) compute a different quantity than the reference
-      oracle, so the gate instead demands the service round-trip be
-      bit-identical — endpoints included — to the engine's own direct
-      ``score_batch`` output on the same jobs.
-    """
-    if n <= 0:
-        return 0, True
-    rng = np.random.default_rng(seed + 1)
-    unique = [
-        ExtensionJob(
-            ref=rng.integers(0, 4, int(rng.integers(40, 90))).astype(np.uint8),
-            query=rng.integers(0, 4, int(rng.integers(30, 80))).astype(np.uint8),
-        )
-        for _ in range(max(n // 2, 1))
-    ]
-    jobs = unique + [unique[int(i)] for i in rng.integers(0, len(unique), n - len(unique))]
-    service = AlignmentService(
-        scoring, config, device, compute_scores=True, engine=engine
-    )
-    handles = service.submit_jobs(jobs)
-    service.flush()
-    eng = service.engine
-    caps = eng.capabilities if eng is not None else None
-    if caps is not None and not (
-        caps.exactness == "exact" and caps.endpoints == "local"
-    ):
-        expected = eng.score_batch(jobs, scoring, config=config)
-        identical = all(
-            h.result() == exp for h, exp in zip(handles, expected)
-        )
-        return len(jobs), identical
-    reference = BatchRunner(
-        SalobaKernel(scoring, config), device, batch_size=len(jobs)
-    ).run_resilient(jobs, compute_scores=True)
-    if eng is not None and eng.name == "reference":
-        identical = all(
-            h.result() == ref_res
-            for h, ref_res in zip(handles, reference.results)
-        )
-    else:
-        identical = all(
-            h.result().score == ref_res.score
-            for h, ref_res in zip(handles, reference.results)
-        )
-    return len(jobs), identical
-
-
 def run_serve_bench(
     n_requests: int = 2000,
     *,
@@ -284,9 +217,14 @@ def run_serve_bench(
         service.flush()
     serve_ms = service.clock_ms
 
-    scored_checked, scored_identical = _fidelity_check(
-        scoring, config, device, n=scored_pairs, seed=seed, engine=engine
+    jobs, expected = fidelity_sample(
+        engine, scoring, config, n=scored_pairs, seed=seed
     )
+    scored = AlignmentService(
+        scoring, config, device, compute_scores=True, engine=engine
+    )
+    handles = scored.submit_jobs(jobs)
+    scored.flush()
     return ServeBenchResult(
         n_requests=len(stream),
         n_unique=n_unique,
@@ -297,8 +235,8 @@ def run_serve_bench(
         speedup=naive_ms / serve_ms if serve_ms else float("inf"),
         naive_jobs_per_s=len(stream) / naive_ms * 1e3 if naive_ms else 0.0,
         serve_jobs_per_s=len(stream) / serve_ms * 1e3 if serve_ms else 0.0,
-        scored_checked=scored_checked,
-        scored_identical=scored_identical,
+        scored_checked=len(jobs),
+        scored_identical=[h.result() for h in handles] == expected,
         tuning=tuning,
         metrics=service.metrics().to_dict(),
     )

@@ -114,12 +114,13 @@ class AlignmentService:
         no overload stays bit-identical to it.
     engine:
         Exact-scoring execution backend (:mod:`repro.engine`): a
-        registered name (``"reference"`` per-pair dataflow — the
-        default; ``"batched"`` cross-query row sweep) or an
-        :class:`~repro.engine.ExecutionEngine` instance.  Engines only
-        change host wall-clock speed in ``compute_scores=True`` mode:
-        scores stay bit-identical and the modeled clock, metrics, and
-        traces are byte-identical whichever engine runs.
+        registered name (``"batched"`` cross-query row sweep — the
+        default; ``"reference"`` per-pair SALoBa dataflow with its
+        spill audit) or an :class:`~repro.engine.ExecutionEngine`
+        instance.  Exact local engines only change host wall-clock
+        speed in ``compute_scores=True`` mode: results stay
+        bit-identical, endpoints included, and the modeled clock,
+        metrics, and traces are byte-identical whichever engine runs.
 
     Examples
     --------

@@ -65,7 +65,8 @@ class TestShuffleMode:
             for _ in range(3)
         ]
         jobs = make_jobs(pairs)
-        k = SalobaKernel(scoring, SalobaConfig(subwarp_size=8, use_shuffle=True))
+        k = SalobaKernel(scoring, SalobaConfig(subwarp_size=8, use_shuffle=True),
+                         engine="reference")
         res = k.run(jobs, GTX1650, compute_scores=True)
         for (q, r), got in zip(pairs, res.results):
             assert got.score == sw_align(r, q, scoring).score

@@ -20,7 +20,6 @@ from repro.core.subwarp import schedule_subwarps
 from repro.engine import (
     BatchedWavefrontEngine,
     ExecutionEngine,
-    ReferenceEngine,
     batched_sw_align,
     engine_names,
     resolve_engine,
@@ -76,8 +75,8 @@ class TestRegistry:
             "reference", "semiglobal", "xdrop",
         )
 
-    def test_resolve_default_is_reference(self):
-        assert isinstance(resolve_engine(None), ReferenceEngine)
+    def test_resolve_default_is_batched(self):
+        assert isinstance(resolve_engine(None), BatchedWavefrontEngine)
 
     def test_resolve_by_name_and_instance(self):
         assert isinstance(resolve_engine("batched"), BatchedWavefrontEngine)
@@ -189,7 +188,7 @@ def _service_outcome(engine, pairs, *, fault_plan=None):
     handles = [svc.submit(q, r) for q, r in pairs]
     svc.flush()
     outcomes = [
-        (h.state, h.result().score if h.ok else h.failure.error,
+        (h.state, h.result() if h.ok else h.failure.error,
          h.wait_ms, h.service_ms, h.from_cache)
         for h in handles
     ]
@@ -199,11 +198,13 @@ def _service_outcome(engine, pairs, *, fault_plan=None):
 class TestEngineIndependence:
     def test_kernel_timing_identical_across_engines(self, rng):
         jobs = make_jobs(_random_pairs(rng, 12, with_n=False))
+        expected = [sw_align(j.ref, j.query) for j in jobs]
         ref = SalobaKernel(engine="reference").run(jobs, GTX1650, compute_scores=True)
+        assert ref.results == expected
         for name in ("batched", "pruned"):
             got = SalobaKernel(engine=name).run(jobs, GTX1650, compute_scores=True)
             assert ref.timing == got.timing
-            assert [r.score for r in ref.results] == [r.score for r in got.results]
+            assert got.results == expected
 
     def test_service_run_identical_across_engines(self, rng):
         pairs = _random_pairs(rng, 24, with_n=False)
@@ -229,7 +230,7 @@ class TestEngineIndependence:
             cl = AlignmentCluster(specs, **kw)
             handles = [cl.submit(q, r) for q, r in pairs]
             m = cl.run()
-            return [h.result().score for h in handles], m.makespan_ms
+            return [h.result() for h in handles], m.makespan_ms
 
         uniform, t0 = run([WorkerSpec("w0"), WorkerSpec("w1")])
         mixed, t1 = run(
@@ -264,7 +265,7 @@ class TestStaggerSchedule:
             q = rng.integers(0, 4, int(rng.integers(20, 120))).astype(np.uint8)
             res, audit = saloba_extend_exact(r, q, scoring, SalobaConfig(subwarp_size=4))
             assert audit.consistent
-            assert res.score == sw_align(r, q, scoring).score
+            assert res == sw_align(r, q, scoring)
 
 
 # ---------------------------------------------------------------------------

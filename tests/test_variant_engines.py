@@ -16,11 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.align import ScoringScheme
+from repro.align import ScoringScheme, sw_align
 from repro.align.banded import band_for_error_rate, banded_sw_align
 from repro.align.matrix import AlignmentResult
 from repro.align.needleman_wunsch import nw_score_slow
-from repro.align.pruning import pruned_grid_sweep
 from repro.align.scoring import NEG_INF
 from repro.align.semiglobal import semiglobal_align, semiglobal_score_slow
 from repro.align.smith_waterman import sw_align_slow
@@ -386,7 +385,7 @@ class TestVariantEngineFidelity:
         jobs = _jobs(_random_pairs(rng, 16))
         got = PrunedEngine().score_batch(jobs, SCORING)
         for j, res in zip(jobs, got):
-            assert res == pruned_grid_sweep(j.ref, j.query, SCORING).result
+            assert res == sw_align(j.ref, j.query, SCORING)
             assert res.score == sw_align_slow(j.ref, j.query, SCORING).score
 
     def test_kernel_band_config_routes_through_banded_engine(self, rng):
