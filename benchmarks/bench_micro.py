@@ -10,6 +10,7 @@ import pytest
 
 from repro.align import BlockInputs, ScoringScheme, compute_blocks, grid_sweep, sw_align
 from repro.core import SalobaConfig, saloba_extend_exact
+from repro.engine import batched_sw_align
 from repro.seeding import FMIndex, SmemSeeder, suffix_array
 from repro.seqs import pack, pack_batch, synthetic_genome, unpack
 from repro.seqs.genome import GenomeConfig
@@ -32,6 +33,19 @@ def test_antidiagonal_sw_1kb(benchmark):
     q = RNG.integers(0, 4, 1000).astype(np.uint8)
     res = benchmark(sw_align, r, q, SCORING)
     assert res.score >= 0
+
+
+def test_batched_row_sweep(benchmark):
+    """One length-coherent group through the ``batched`` row sweep."""
+    rng = np.random.default_rng(7)
+    pairs = [
+        (rng.integers(0, 4, int(rng.integers(600, 1201))).astype(np.uint8),
+         rng.integers(0, 4, int(rng.integers(600, 1201))).astype(np.uint8))
+        for _ in range(12)
+    ]
+    res = benchmark(batched_sw_align, pairs, SCORING)
+    for k in (0, 11):
+        assert res[k] == sw_align(*pairs[k], SCORING)
 
 
 def test_grid_sweep_batch(benchmark):

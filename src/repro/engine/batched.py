@@ -1,31 +1,55 @@
 """Cross-query batched row sweep (the ``batched`` engine).
 
 The default engine.  The reference engine walks one Python wavefront
-per job; this engine scores an entire micro-batch at once.  All pairs are padded into one
-``batch x L`` row, and the sweep runs over the ``R`` rows of the
-group's *shorter* axis (``R = min(M, N)``, ``L = max(M, N)``, ``M``
-and ``N`` the longest reference and query): each step computes one DP
-row of every pair with a handful of contiguous ``np.maximum``/``add``
-passes — AnySeq/GPU's cross-sequence batching, with Snytsar's lazy-F
-deconstruction of the horizontal gap into one prefix max
-(``np.maximum.accumulate``) per row.  The paper's anti-diagonal order
-exists to give a GPU warp independent cells; on the host a whole row
-is independent once the horizontal gap is a prefix scan, so the loop
-makes ``min(M, N)`` steps, not ``M + N``.  A group with longer
-references than queries sweeps the query positions, with the
-reference as the lanes: the substitution matrix and the recurrence
-are symmetric in the two sides, so this is the same sweep.
+per job; this engine scores an entire micro-batch at once.  The sweep
+runs over the ``R`` rows of the group's *shorter* axis (``R = min(M,
+N)``, ``L = max(M, N)``, ``M`` and ``N`` the longest reference and
+query): each step computes one DP row of every pair with a handful of
+contiguous ``np.maximum``/``add`` passes — AnySeq/GPU's cross-sequence
+batching, with Snytsar's lazy-F deconstruction of the horizontal gap
+into one prefix max (``np.maximum.accumulate``) per row.  The paper's
+anti-diagonal order exists to give a GPU warp independent cells; on
+the host a whole row is independent once the horizontal gap is a
+prefix scan, so the loop makes ``min(M, N)`` steps, not ``M + N``.  A
+group with longer references than queries sweeps the query positions,
+with the reference as the lanes: the substitution matrix and the
+recurrence are symmetric in the two sides, so this is the same sweep.
 
-Padding discipline:
+State layout — SALoBa's data-locality argument, on the host:
 
-* reference/query tails beyond a pair's real length hold the ``PAD``
-  code, whose substitution score is :data:`~repro.align.scoring.NEG_INF`
-  — a padded cell only ever holds 0 or a value below a real cell
-  already swept, and never feeds a real cell, so ragged pairs need no
-  mask;
-* substitution scores come from a per-pair lane profile built once
-  per group, so each row's scores are one gather;
-* arithmetic is int64, so ``NEG_INF`` survives repeated gap extension.
+* **flat rows.**  Each quantity is one contiguous 1-D array of
+  ``B*(L+1)`` slots: pair ``b``'s lanes sit at ``b*(L+1) + 1 ..
+  b*(L+1) + L`` and slot ``b*(L+1)`` is a *guard column* holding the
+  ``H = 0`` boundary.  A row step is one contiguous pass over slots
+  ``[1, B*(L+1))`` per operation, with ``H[:-1]`` as the diagonal
+  operand and ``H[1:]`` as the operand from above, and no per-row
+  fix-up of the guards;
+* **guard score.**  The profile scores ``-Delta`` at a guard, where
+  ``Delta = hmax + beta*(L+1) + 1`` and ``hmax = max(S over real
+  codes, 0) * R`` bounds every ``H`` of the group (no pair aligns more
+  than ``R`` positions), so the previous pair's last lane never lifts
+  a guard above 0;
+* **per-pair scan key.**  The prefix max runs over ``H~ + beta*l +
+  Delta*b``: each pair's guard enters the scan above every value of the
+  pairs before it, so one scan over the whole flat row never carries a
+  value from pair ``b - 1`` into pair ``b``;
+* **int32 under a computed bound.**  The state is int32 when the
+  largest value the sweep can form, below ``Delta*B + hmax +
+  beta*(L+1) + alpha``, stays under ``2**31 - 2**29`` (room for
+  ``NEG_INF - beta``), and int64 otherwise — one loop on either dtype,
+  chosen per group (:func:`_group_bound`);
+* **one row reduction.**  The row's first maximum is taken on ``H~``,
+  the row before the horizontal gap: an E-derived cell is strictly
+  below the ``H~`` cell it came from, so ``H~`` and ``H`` share the
+  row's maximum and its first position.
+
+Padding discipline: reference/query tails beyond a pair's real length
+hold the ``PAD`` code, whose substitution score is
+:data:`~repro.align.scoring.NEG_INF` — a padded cell only ever holds 0
+or a value below a real cell already swept, and never feeds a real
+cell, so ragged pairs need no mask.  Substitution scores come from a
+per-pair lane profile built once per group, so each row's scores are
+one gather.
 
 Scores *and* end coordinates are bit-identical to
 :func:`repro.align.antidiagonal.sw_align` (the canonical tie-break of
@@ -59,6 +83,34 @@ __all__ = ["BatchedWavefrontEngine", "batched_sw_align"]
 _EMPTY = AlignmentResult(score=0, ref_end=0, query_end=0)
 
 
+#: State is int32 while every value the sweep can form stays below this,
+#: which leaves room under ``2**31`` for ``NEG_INF - beta``.
+_INT32_LIMIT = 2**31 - 2**29
+
+
+def _group_bound(
+    scoring: ScoringScheme, rows: int, lanes: int, pairs: int
+) -> tuple[int, np.dtype]:
+    """The pair stride ``Delta`` of the scan key and the state dtype of a group.
+
+    No pair aligns more than *rows* positions (``R = min(M, N)``), so
+    ``hmax = max(S over real codes, 0) * rows`` bounds every local ``H``
+    of the group, padded lanes included.  ``Delta = hmax + beta*(L+1) +
+    1`` is larger than any ``H~(k) + beta*k`` of one pair, so giving
+    pair ``b`` the offset ``Delta*b`` keeps the scan of the flat row
+    from carrying a value into the next pair.  The largest value the
+    sweep forms is then below ``Delta*pairs + hmax + beta*(L+1) +
+    alpha``; the state is int32 when that is below :data:`_INT32_LIMIT`
+    and int64 otherwise.
+    """
+    smax = max(int(scoring.matrix[:PAD, :PAD].max()), 0)
+    hmax = smax * rows
+    span = scoring.beta * (lanes + 1)
+    delta = hmax + span + 1
+    peak = delta * pairs + hmax + span + scoring.alpha
+    return delta, np.dtype(np.int32 if peak < _INT32_LIMIT else np.int64)
+
+
 def _sweep_group(
     refs: list[np.ndarray],
     queries: list[np.ndarray],
@@ -74,8 +126,7 @@ def _sweep_group(
     :class:`ScoringScheme` builds a symmetric substitution matrix, and
     the recurrence is symmetric in ``i`` and ``j`` (E and F trade
     places).  Row ``r`` of every pair is computed at once from row
-    ``r - 1`` (``H``/``F`` from above), as contiguous int64
-    ``(batch, L)`` arrays:
+    ``r - 1`` (``H``/``F`` from above):
 
     * ``F = max(H_up - alpha, F_up - beta)``;
     * ``H~ = max(H_diag + S, F, 0)``;
@@ -88,6 +139,26 @@ def _sweep_group(
     starts from an E-derived ``H(k) = H(k') - alpha - beta*(k-1-k')``
     scores ``alpha - beta >= 0`` less than the arm that starts from
     ``H(k')`` directly, so it is always dominated — on either axis.
+
+    **Flat layout.**  Each quantity is one contiguous 1-D array of
+    ``B*(L+1)`` slots: pair ``b``'s lanes ``l = 1..L`` sit at
+    ``b*(L+1) + l``, and slot ``b*(L+1)`` is a guard column that holds
+    the ``H = 0`` boundary.  A row step is one pass over slots
+    ``[1, B*(L+1))``, the diagonal operand being ``H[:-1]`` and the
+    operand from above ``H[1:]``, with no per-row fix-up of the guards:
+
+    * the profile scores ``-Delta`` at a guard (see
+      :func:`_group_bound`), so the previous pair's last lane, at most
+      ``hmax < Delta``, cannot lift the guard's ``H~`` above the zero
+      floor.  ``NEG_INF`` would not do: it is only ``-2**28``;
+    * the prefix max runs over ``H~ + K`` with the per-pair scan key
+      ``K = beta*l + Delta*b`` and E subtracts ``alpha + beta*(l-1) +
+      Delta*b``.  Pair ``b``'s guard enters the scan at ``Delta*b``,
+      above every key of pairs ``< b``, so no value crosses into the
+      next pair, and the guard's own E stays below ``-alpha``.
+
+    The state is int32 when :func:`_group_bound` proves that no value
+    can reach the limit, int64 otherwise; the loop is the same.
 
     With *bands*, cells outside each pair's band ``|i - j| <= band``
     (symmetric, so the mask is the same in either orientation) are
@@ -102,7 +173,11 @@ def _sweep_group(
     :func:`~repro.align.banded.banded_sw_align`'s.
 
     Each row records its first maximum, the cell with the smallest lane
-    index in that row, and the best cell is resolved from those after
+    index in that row, taken on ``H~``: an E-derived cell scores
+    ``alpha + beta*(l-1-k) > 0`` below the ``H~(k)`` cell of the same
+    row it came from, so ``H`` and ``H~`` share the row's maximum and
+    the cells that reach it — under the band mask too, where both are
+    0 outside the band.  The best cell is resolved from those after
     the sweep.  Every other best cell of a row has a larger ``i`` or
     ``j`` than that row's first maximum, so both rules resolve across
     rows in either orientation.  Exact: the highest score, then the
@@ -117,59 +192,69 @@ def _sweep_group(
     swap = M > N
     row_seqs, lane_seqs = (queries, refs) if swap else (refs, queries)
     R, L = (N, M) if swap else (M, N)
+    W = L + 1  # the guard slot, then the pair's L lanes
+    delta, dt = _group_bound(scoring, R, L, B)
     row_pad = np.full((R, B), PAD, dtype=np.intp)
-    lane_pad = np.full((B, L), PAD, dtype=np.intp)
+    lane_pad = np.full((B, W), PAD, dtype=np.intp)
     for b, (r, l) in enumerate(zip(row_seqs, lane_seqs)):
         row_pad[: r.size, b] = r
-        lane_pad[b, : l.size] = l
-    alpha = np.int64(scoring.alpha)
-    beta = np.int64(scoring.beta)
-    # Lane profile, one line per (code, pair): prof[c * B + b, l - 1] =
+        lane_pad[b, 1 : l.size + 1] = l
+    alpha = dt.type(scoring.alpha)
+    beta = dt.type(scoring.beta)
+    # Lane profile, one line per (code, pair): prof[c * B + b, l] =
     # S(c, lane_b[l]), so row i's scores are the lines gather[i - 1].
     # Padded codes score NEG_INF, so a padded cell only ever holds 0 or
     # a value strictly below a real cell already swept, and it never
     # feeds a real cell (the recurrence only looks up and left): ragged
-    # pairs need no mask.
-    prof = scoring.matrix.astype(np.int64)[:, lane_pad].reshape(-1, L)
+    # pairs need no mask.  Guards score -Delta.
+    prof = scoring.matrix.astype(dt)[:, lane_pad]
+    prof[:, :, 0] = -delta
+    prof = prof.reshape(-1, W)
     pair = np.arange(B)
     gather = row_pad * B + pair
-    beta_k = beta * np.arange(1, L + 1, dtype=np.int64)  # beta*k, k = 1..L
-    e_off = alpha + beta * np.arange(L, dtype=np.int64)  # alpha + beta*(l-1)
+    lane = np.tile(np.arange(W, dtype=dt), B)
+    # Slots 1.. of the scan key beta*l + Delta*b and of E's offset
+    # alpha + beta*(l-1) + Delta*b.
+    K = (beta * lane + np.repeat(pair.astype(dt) * dt.type(delta), W))[1:]
+    e_off = K + (alpha - beta)
 
-    H = np.zeros((B, L + 1), dtype=np.int64)  # column 0: the H = 0 boundary
-    F = np.full((B, L), NEG_INF, dtype=np.int64)
-    S = np.empty((B, L), dtype=np.int64)
-    Ht = np.empty((B, L), dtype=np.int64)
-    T = np.zeros((B, L + 1), dtype=np.int64)  # H~(k) + beta*k, T[:, 0] = 0
-    tmp = np.empty((B, L), dtype=np.int64)
-    row_max = np.empty((R, B), dtype=np.int64)
+    H = np.zeros(B * W, dtype=dt)
+    Ht = np.zeros(B * W, dtype=dt)  # H~; slot 0 (pair 0's guard) stays 0
+    T = np.zeros(B * W, dtype=dt)  # the scan, T[0] = 0
+    F = np.full(B * W - 1, NEG_INF, dtype=dt)
+    S = np.empty((B, W), dtype=dt)
+    tmp = np.empty(B * W - 1, dtype=dt)
+    zero = np.zeros(B * W - 1, dtype=dt)  # max against an array: ~3x a scalar 0's speed
+    s, ht, t = S.reshape(-1)[1:], Ht[1:], T[1:]
+    Ht_pairs = Ht.reshape(B, W)
+    guard = pair * W
+    row_max = np.empty((R, B), dtype=dt)
     row_arg = np.empty((R, B), dtype=np.intp)
     if bands is not None:
-        band_col = np.array(bands, dtype=np.int64)[:, None]
-        cols = np.arange(1, L + 1, dtype=np.int64)
+        lane, band = lane[1:], np.repeat(np.array(bands, dtype=dt), W)[1:]
 
     for i in range(1, R + 1):
         np.take(prof, gather[i - 1], axis=0, out=S)
-        np.add(H[:, :-1], S, out=Ht)
-        np.subtract(H[:, 1:], alpha, out=tmp)
+        np.add(H[:-1], s, out=ht)
+        np.subtract(H[1:], alpha, out=tmp)
         np.subtract(F, beta, out=F)
         np.maximum(F, tmp, out=F)
-        np.maximum(Ht, F, out=Ht)
-        np.maximum(Ht, 0, out=Ht)
+        np.maximum(ht, F, out=ht)
+        np.maximum(ht, zero, out=ht)
         if bands is not None:
-            outside = np.abs(cols - i) > band_col
-            np.copyto(Ht, 0, where=outside)
+            outside = np.abs(lane - i) > band
+            np.copyto(ht, 0, where=outside)
             np.copyto(F, NEG_INF, where=outside)
-        np.add(Ht, beta_k, out=T[:, 1:])
-        np.maximum.accumulate(T, axis=1, out=T)
-        np.subtract(T[:, :-1], e_off, out=tmp)
-        np.maximum(Ht, tmp, out=H[:, 1:])
+        np.add(ht, K, out=t)
+        np.maximum.accumulate(T, out=T)
+        np.subtract(T[:-1], e_off, out=tmp)
+        np.maximum(ht, tmp, out=H[1:])
         if bands is not None:
-            np.copyto(H[:, 1:], 0, where=outside)
-        # Column 0 stays 0, so a row whose maximum is positive has its
+            np.copyto(H[1:], 0, where=outside)
+        # A guard's H~ is 0, so a row whose maximum is positive has its
         # first maximum at a real lane.
-        H.argmax(axis=1, out=row_arg[i - 1])
-        H.max(axis=1, out=row_max[i - 1])
+        Ht_pairs.argmax(axis=1, out=row_arg[i - 1])
+        np.take(Ht, guard + row_arg[i - 1], out=row_max[i - 1])
 
     best = row_max.max(axis=0)
     rows = np.arange(1, R + 1, dtype=np.int64)[:, None]

@@ -118,7 +118,7 @@ class EngineBenchResult:
             + _flag(self.metrics_identical, "equal", "DIVERGED"),
             "  chrome traces                : "
             + _flag(self.trace_identical, "byte-identical", "DIVERGED"),
-            f"  scores across engines        : {self.n_requests} requests "
+            f"  results across engines       : {self.n_requests} requests, endpoints included, "
             + _flag(self.scores_identical, "bit-identical", "MISMATCH"),
             f"  row-scan oracle              : {self.oracle_checked} pairs "
             + _flag(self.oracle_identical, "bit-identical", "MISMATCH"),

@@ -7,6 +7,8 @@ stagger schedule; the stable subwarp sort; and the cache upgrade-only
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.align import ScoringScheme, sw_align
 from repro.align.banded import banded_sw_align
@@ -24,6 +26,7 @@ from repro.engine import (
     engine_names,
     resolve_engine,
 )
+from repro.engine.batched import _INT32_LIMIT, _group_bound, _sweep_group
 from repro.gpusim import GTX1650
 from repro.obs import Tracer, chrome_trace_json
 from repro.resilience import FaultPlan, RetryPolicy
@@ -105,6 +108,26 @@ class TestRegistry:
 # ---------------------------------------------------------------------------
 
 
+@st.composite
+def _one_group_batches(draw):
+    """1-8 ragged pairs of 0-80 bp over a binary or ACGT alphabet (with
+    or without N), a random scheme with ``1 <= beta <= alpha``, and
+    optional per-pair bands."""
+    alphabet = draw(st.sampled_from(((0, 1), (0, 1, 4), (0, 1, 2, 3), (0, 1, 2, 3, 4))))
+    seq = st.lists(st.sampled_from(alphabet), max_size=80).map(
+        lambda xs: np.asarray(xs, dtype=np.uint8))
+    pair = st.one_of(st.tuples(seq, seq), seq.map(lambda s: (s, s.copy())))
+    pairs = draw(st.lists(pair, min_size=1, max_size=8))
+    alpha = draw(st.integers(1, 8))
+    scoring = ScoringScheme(
+        match=draw(st.integers(1, 4)), mismatch=draw(st.integers(-5, -1)),
+        alpha=alpha, beta=draw(st.integers(1, alpha)),
+        n_score=draw(st.integers(-5, -1)))
+    n = len(pairs)
+    bands = draw(st.none() | st.lists(st.integers(0, 40), min_size=n, max_size=n))
+    return pairs, scoring, bands
+
+
 class TestBatchedSweepProperties:
     @pytest.mark.parametrize("scheme_idx", range(len(SCHEMES)))
     def test_random_ragged_batches_match_oracle(self, scheme_idx):
@@ -152,6 +175,49 @@ class TestBatchedSweepProperties:
         bands = [40, 30, 350, 30, 20, 60] * 2
         got = batched_sw_align(pairs, scoring, bands=bands)
         assert got == [banded_sw_align(r, q, b, scoring) for (r, q), b in zip(pairs, bands)]
+
+    def test_int32_bound_edges_stay_exact(self):
+        """Schemes just below and just above the int32 limit of one
+        group's bound: int32 on one side, int64 on the other, and
+        oracle results, endpoints included, on both."""
+        rng = np.random.default_rng(22)
+        seq = rng.integers(0, 4, 100).astype(np.uint8)
+        pairs = [
+            (seq, seq.copy()),
+            (np.zeros(100, np.uint8), np.ones(100, np.uint8)),  # score 0
+            (seq, seq[:70]),
+            (seq[:70], seq),
+        ]
+        # One group (extents within 2x): R = L = 100 rows and lanes, 4 pairs.
+        rows = lanes = 100
+        fixed = (lanes + 2) * len(pairs) + lanes + 1 + 2  # beta = 1, alpha = 2
+        below = (_INT32_LIMIT - 1 - fixed) // (rows * (len(pairs) + 1))
+        bands = [10, 0, 40, 5]
+        for match, dtype in ((below, np.int32), (below + 1, np.int64)):
+            scoring = ScoringScheme(match=match, mismatch=-1, alpha=2, beta=1)
+            assert _group_bound(scoring, rows, lanes, len(pairs))[1] == dtype
+            expect = [sw_align(r, q, scoring) for r, q in pairs]
+            assert expect[0].score == 100 * match > 2**28  # past -NEG_INF
+            assert batched_sw_align(pairs, scoring) == expect
+            assert batched_sw_align(pairs, scoring, bands=bands) == [
+                banded_sw_align(r, q, b, scoring) for (r, q), b in zip(pairs, bands)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(batch=_one_group_batches())
+    def test_one_group_property(self, batch):
+        """Every non-empty pair swept in one ragged group, and the whole
+        batch through ``batched_sw_align``, equal the per-pair oracle."""
+        pairs, scoring, bands = batch
+        if bands is None:
+            expect = [sw_align(r, q, scoring) for r, q in pairs]
+        else:
+            expect = [banded_sw_align(r, q, b, scoring) for (r, q), b in zip(pairs, bands)]
+        assert batched_sw_align(pairs, scoring, bands=bands, max_state_cells=1 << 30) == expect
+        live = [k for k, (r, q) in enumerate(pairs) if r.size and q.size]
+        if live:
+            got = _sweep_group([pairs[k][0] for k in live], [pairs[k][1] for k in live],
+                               scoring, None if bands is None else [bands[k] for k in live])
+            assert got == [expect[k] for k in live]
 
     def test_tiny_cell_budget_changes_nothing(self):
         """Forcing single-pair groups through the chunker is invisible."""
