@@ -12,6 +12,7 @@ from repro.align import BlockInputs, ScoringScheme, compute_blocks, grid_sweep, 
 from repro.core import SalobaConfig, saloba_extend_exact
 from repro.engine import batched_sw_align
 from repro.seeding import FMIndex, SmemSeeder, suffix_array
+from repro.seeding.smem import _jump_table
 from repro.seqs import pack, pack_batch, synthetic_genome, unpack
 from repro.seqs.genome import GenomeConfig
 
@@ -88,6 +89,19 @@ def test_smem_seeding_per_read(benchmark):
     read = np.asarray(genome[10_000:10_250], dtype=np.uint8)
     seeds = benchmark(seeder.seed, read)
     assert seeds
+
+
+def test_seed_jump_table_build(benchmark):
+    """The seeder's 8-mer jump table over the map-stream genome's index
+    (part of ``SmemSeeder`` set-up)."""
+    genome = synthetic_genome(GenomeConfig(length=200_000), seed=0)
+    fm = FMIndex(genome[::-1].copy())
+    length, lo, hi = benchmark(_jump_table, fm)
+    assert length.size == 4**8 and length.max() == 8
+    head = genome[1000:1008]  # a read's first 8 codes, keyed in read order
+    key = int("".join(map(str, head)), 4)
+    rng = fm.search(head[::-1])
+    assert (length[key], lo[key], hi[key]) == (8, rng.lo, rng.hi)
 
 
 def test_pack_unpack_megabase(benchmark):

@@ -7,7 +7,6 @@ from .blocks import BLOCK, BlockInputs, BlockOutputs, compute_blocks, pad_to_blo
 from .grid import JobGeometry, grid_sweep, job_geometry
 from .matrix import AlignmentResult, DPMatrices, full_matrices
 from .needleman_wunsch import nw_score_slow
-from .parallel import parallel_grid_sweep
 from .pruning import PrunedSweepResult, pruned_grid_sweep
 from .scoring import NEG_INF, PAD, ScoringScheme, bwa_mem_scoring
 from .semiglobal import SemiglobalResult, semiglobal_align
@@ -22,7 +21,7 @@ __all__ = [
     "nw_score", "nw_score_slow",
     "BLOCK", "BlockInputs", "BlockOutputs", "compute_blocks", "pad_to_blocks",
     "banded_sw_align", "band_for_error_rate",
-    "grid_sweep", "JobGeometry", "job_geometry", "parallel_grid_sweep",
+    "grid_sweep", "JobGeometry", "job_geometry",
     "pruned_grid_sweep", "PrunedSweepResult",
     "Cigar", "Traceback", "traceback", "align_with_traceback",
     "xdrop_extend", "xdrop_extend_batch", "XDropResult",

@@ -233,8 +233,12 @@ def _sweep_group(
     if bands is not None:
         lane, band = lane[1:], np.repeat(np.array(bands, dtype=dt), W)[1:]
 
+    # Every take index is in range by construction (code <= PAD and
+    # pair < B index prof's lines; guard + argmax < B * W), so
+    # mode="clip" never clips.  It only spares the output buffer that
+    # the default mode="raise" allocates.
     for i in range(1, R + 1):
-        np.take(prof, gather[i - 1], axis=0, out=S)
+        np.take(prof, gather[i - 1], axis=0, out=S, mode="clip")
         np.add(H[:-1], s, out=ht)
         np.subtract(H[1:], alpha, out=tmp)
         np.subtract(F, beta, out=F)
@@ -254,7 +258,7 @@ def _sweep_group(
         # A guard's H~ is 0, so a row whose maximum is positive has its
         # first maximum at a real lane.
         Ht_pairs.argmax(axis=1, out=row_arg[i - 1])
-        np.take(Ht, guard + row_arg[i - 1], out=row_max[i - 1])
+        np.take(Ht, guard + row_arg[i - 1], out=row_max[i - 1], mode="clip")
 
     best = row_max.max(axis=0)
     rows = np.arange(1, R + 1, dtype=np.int64)[:, None]

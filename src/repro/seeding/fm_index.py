@@ -9,9 +9,10 @@ last checkpoint up to row ``k``.  The in-block counts never exceed
 holds that (``uint8`` for rates up to 256, ``uint16`` up to 65,536),
 and ``backward_extend`` prepends one symbol to the current match in
 O(1).  ``locate`` resolves text positions through a
-sampled suffix array, LF-walking every row of a range together to the
-nearest sample — the same structure real aligners use, at
-test-friendly sampling rates.
+sampled suffix array: one LF walk moves any set of rows together, each
+to its nearest sample, so a caller can resolve the rows of many ranges
+at once — the same structure real aligners use, at test-friendly
+sampling rates.
 """
 
 from __future__ import annotations
@@ -73,9 +74,10 @@ class FMIndex:
         counts = np.bincount(codes, minlength=_N_SYMBOLS)
         self.C = np.concatenate([[1], 1 + np.cumsum(counts)[:-1]]).astype(np.int64)
         self._occ_checkpoints, self._occ_inblock = _rank_tables(self._bwt, occ_rate)
-        # Sampled SA for locate: -1 marks a row without a sample.
+        # Sampled SA for locate: -1 marks a row without a sample.  Held
+        # in the smallest signed dtype that holds n (int32 up to 2**31).
         mask = (sa % sa_sample_rate == 0) | (sa == self.n)
-        self._sampled = np.where(mask, sa, -1)
+        self._sampled = np.where(mask, sa, -1).astype(np.min_scalar_type(-self.n - 1))
 
     # ----- core operations ---------------------------------------------
 
@@ -117,14 +119,18 @@ class FMIndex:
         return self.search(pattern).count
 
     def locate(self, rng: SARange, max_hits: int | None = None) -> np.ndarray:
-        """Text positions of the matches in *rng* (sorted).
-
-        Every row of the range LF-walks at once; a row leaves the walk
-        when it reaches a sampled suffix-array entry.
-        """
+        """Text positions of the matches in *rng* (sorted)."""
         hi = rng.hi if max_hits is None else min(rng.hi, rng.lo + max_hits)
-        rows = np.arange(rng.lo, max(hi, rng.lo), dtype=np.int64)
-        out = self._sampled[rows]
+        return np.sort(self._locate_rows(np.arange(rng.lo, max(hi, rng.lo), dtype=np.int64)))
+
+    def _locate_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Text position of each of *rows*, in row order.
+
+        Every row LF-walks at once; a row leaves the walk when it
+        reaches a sampled suffix-array entry.  *rows* is walked in
+        place.
+        """
+        out = self._sampled[rows].astype(np.int64)
         steps = 0
         pending = np.flatnonzero(out < 0)
         while pending.size:
@@ -134,7 +140,7 @@ class FMIndex:
             found = hit >= 0
             out[pending[found]] = hit[found] + steps
             pending = pending[~found]
-        return np.sort(out)
+        return out
 
     def _lf_rows(self, rows: np.ndarray) -> np.ndarray:
         """:meth:`lf` over an array of rows."""

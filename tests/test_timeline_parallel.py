@@ -1,10 +1,7 @@
-"""Tests for the SM timeline and process-parallel exact scoring."""
+"""Tests for the SM timeline."""
 
-import numpy as np
 import pytest
 
-from repro.align import ScoringScheme, grid_sweep
-from repro.align.parallel import default_workers, parallel_grid_sweep
 from repro.gpusim import GTX1650, WarpJob
 from repro.gpusim.timeline import build_timeline, render_timeline
 
@@ -46,46 +43,3 @@ class TestTimeline:
         tl = build_timeline(jobs, GTX1650)
         assert sum(tl.sm_busy_cycles) == pytest.approx(5 + 7 + 11 + 13)
 
-
-class TestParallelSweep:
-    def _jobs(self, rng, n):
-        return [
-            (rng.integers(0, 5, int(rng.integers(10, 80))).astype(np.uint8),
-             rng.integers(0, 5, int(rng.integers(10, 80))).astype(np.uint8))
-            for _ in range(n)
-        ]
-
-    def test_matches_serial(self, rng, scoring):
-        jobs = self._jobs(rng, 24)
-        serial = grid_sweep(jobs, scoring)
-        par = parallel_grid_sweep(jobs, scoring, workers=3)
-        assert [r.score for r in par] == [r.score for r in serial]
-
-    def test_small_batch_falls_back_inline(self, rng, scoring):
-        jobs = self._jobs(rng, 3)
-        out = parallel_grid_sweep(jobs, scoring, workers=4)
-        assert len(out) == 3
-
-    def test_single_worker_inline(self, rng, scoring):
-        jobs = self._jobs(rng, 10)
-        out = parallel_grid_sweep(jobs, scoring, workers=1)
-        assert [r.score for r in out] == [r.score for r in grid_sweep(jobs, scoring)]
-
-    def test_order_preserved(self, rng, scoring):
-        # Jobs with distinctive scores: identical pair k has score k+1.
-        jobs = []
-        for k in range(12):
-            s = rng.integers(0, 4, k + 1).astype(np.uint8)
-            jobs.append((s, s.copy()))
-        out = parallel_grid_sweep(jobs, scoring, workers=3, min_jobs_per_worker=1)
-        assert [r.score for r in out] == [k + 1 for k in range(12)]
-
-    def test_default_workers_positive(self):
-        assert default_workers() >= 1
-
-    def test_custom_scoring_propagates(self, rng):
-        s = ScoringScheme(match=5, mismatch=-2, alpha=4, beta=2)
-        seq = rng.integers(0, 4, 30).astype(np.uint8)
-        jobs = [(seq, seq.copy())] * 8
-        out = parallel_grid_sweep(jobs, s, workers=2, min_jobs_per_worker=1)
-        assert all(r.score == 150 for r in out)
